@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Static invariant checks over ``src/repro`` — tier-1 CI gate.
 
-Two repo-wide conventions are load-bearing enough to enforce
+Three repo-wide conventions are load-bearing enough to enforce
 mechanically rather than by review:
 
 **Percentile invariant.**  Latency percentiles are nearest-rank, never
@@ -22,6 +22,13 @@ argument), the global legacy API (``np.random.seed``,
 into seeds) and ``random.random``-style stdlib draws are all banned in
 library code.
 
+**Layering invariant.**  Layering runs one way: the control plane
+(``repro.controlplane``) sits on top of the simulator, and only it and
+the CLI (``cli.py``) may import it.  Exactly one upward import is
+sanctioned: the lazy ``ControlLoop`` import in
+``ExperimentRunner.control_loop`` (``sim/runner.py``), which builds the
+loop the runner delegates to.
+
 Violations print ``path:line: message`` and exit 1, so the CI log
 points straight at the offending statement.  Run from the repo root::
 
@@ -33,6 +40,7 @@ self-test exercises the checker against synthetic trees that way).
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -83,6 +91,78 @@ SEEDING_BANS = [
 ]
 
 
+#: Top-level entries under src/repro allowed to import the control plane.
+CONTROLPLANE_IMPORTERS = ("controlplane/", "cli.py")
+
+#: (file, enclosing function, imported module) of the one sanctioned
+#: upward import of the control plane.
+CONTROLPLANE_SANCTIONED = {
+    ("sim/runner.py", "ExperimentRunner.control_loop", "repro.controlplane.loop"),
+}
+
+UPWARD_PACKAGE = "repro.controlplane"
+
+
+def _imported_modules(node: ast.AST, package: str) -> list[str]:
+    """Absolute module names an import statement pulls in."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level:
+        parts = package.split(".")
+        base = ".".join(parts[: len(parts) - node.level + 1])
+        module = f"{base}.{node.module}" if node.module else base
+    else:
+        module = node.module or ""
+    # ``from repro import controlplane`` names the package as an alias.
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def _upward_imports(tree: ast.AST, package: str):
+    """``(lineno, enclosing qualname, module)`` for every import of the
+    control plane in ``tree``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for module in _imported_modules(child, package):
+                    if module == UPWARD_PACKAGE or module.startswith(
+                        UPWARD_PACKAGE + "."
+                    ):
+                        found.append((child.lineno, ".".join(scope), module))
+                        break
+            inner = scope
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def check_layering(path: Path, src_root: Path) -> tuple[list[str], set]:
+    """Upward-import violations in one file, plus the sanctioned sites
+    it uses."""
+    rel = path.relative_to(src_root).as_posix()
+    if rel.startswith(CONTROLPLANE_IMPORTERS):
+        return [], set()
+    package = ".".join(["repro", *rel.split("/")[:-1]])
+    tree = ast.parse(path.read_text(), filename=str(path))
+    violations, used = [], set()
+    for lineno, scope, module in _upward_imports(tree, package):
+        site = (rel, scope, module)
+        if site in CONTROLPLANE_SANCTIONED and site not in used:
+            used.add(site)
+            continue
+        violations.append(
+            f"{path}:{lineno}: upward import of {module} — only "
+            f"repro.controlplane and cli.py may import the control plane"
+        )
+    return violations, used
+
+
 def iter_source_files(src_root: Path) -> list[Path]:
     if not src_root.is_dir():
         print(f"{src_root}: source tree not found", file=sys.stderr)
@@ -126,9 +206,13 @@ def main(argv: list[str] | None = None) -> int:
     violations: list[str] = []
     missing = []
     seen_raw: dict[str, int] = {}
+    used_sites: set = set()
     files = iter_source_files(src_root)
     for path in files:
         violations.extend(check_file(path, src_root))
+        layering, used = check_layering(path, src_root)
+        violations.extend(layering)
+        used_sites |= used
         rel = path.relative_to(src_root).as_posix()
         if rel in PERCENTILE_SANCTIONED:
             n = sum(
@@ -150,6 +234,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"{seen_raw.get(rel, 0)} — update PERCENTILE_SANCTIONED "
                     f"in scripts/check_invariants.py if the kernel moved"
                 )
+        for rel, scope, module in sorted(CONTROLPLANE_SANCTIONED - used_sites):
+            missing.append(
+                f"{src_root / rel}: sanctioned import of {module} in "
+                f"{scope} not found — update CONTROLPLANE_SANCTIONED in "
+                f"scripts/check_invariants.py if it moved"
+            )
     problems = violations + missing
     if problems:
         print("\n".join(problems), file=sys.stderr)

@@ -182,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--chunk-requests", type=_positive_int, default=None,
             dest="chunk_requests",
-            help="simulate each interval's arrivals in chunks of this "
-            "many requests (Basic routing); exact-mode chunked runs "
-            "are bit-identical to monolithic ones, and large intervals "
-            "stream in O(chunk) memory",
+            help="streaming chunk size: with streaming summaries, "
+            "simulate each interval's arrivals in chunks of this many "
+            "requests (Basic routing) in O(chunk) memory; exact "
+            "summaries ignore it, so it never changes an exact result",
         )
         p.add_argument(
             "--summary-mode",

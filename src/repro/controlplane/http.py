@@ -47,6 +47,10 @@ _REASONS = {
 }
 
 
+class PayloadTooLarge(ControlPlaneError):
+    """A request body over :data:`MAX_BODY_BYTES` (answered with 413)."""
+
+
 def _response(
     status: int, body: bytes, content_type: str
 ) -> bytes:
@@ -99,9 +103,18 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ControlPlaneError(
+            f"Content-Length must be a non-negative integer, got "
+            f"{raw_length!r}"
+        )
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
-        raise ControlPlaneError(f"request body too large ({length} bytes)")
+        raise PayloadTooLarge(
+            f"request body too large ({length} bytes, limit "
+            f"{MAX_BODY_BYTES})"
+        )
     body = await reader.readexactly(length) if length else b""
     return method, path, body
 
@@ -210,8 +223,9 @@ async def start_http_server(
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except ControlPlaneError as exc:
+            status = 413 if isinstance(exc, PayloadTooLarge) else 400
             try:
-                writer.write(_error(400, str(exc)))
+                writer.write(_error(status, str(exc)))
                 await writer.drain()
             except ConnectionError:
                 pass

@@ -1,8 +1,8 @@
 """The four control-plane phases: monitor → predict → decide → act.
 
 Each phase is the named, separately-drivable form of a body that used
-to be inlined in ``ExperimentRunner._schedule_interval``; together they
-are one PCS control step.  The decomposition is *statement-preserving*:
+to be inlined in the runner's interval loop; together they are one PCS
+control step.  The decomposition is *statement-preserving*:
 the monitor phase performs exactly the RNG draws (node windows, in
 cluster order) and the predict phase exactly the float arithmetic of
 the pre-refactor code, so driving them in sequence is bit-identical to
@@ -104,8 +104,8 @@ class MonitorPhase:
         """One windowed observation of every node and component.
 
         The node-window draws consume the monitor's named RNG stream in
-        cluster-node order — the exact sequence the pre-refactor
-        ``_schedule_interval`` consumed.
+        cluster-node order — the exact sequence the pre-refactor inline
+        control step consumed.
         """
         lam_service = outcome.n_requests / self.interval_s
         node_totals = np.stack(

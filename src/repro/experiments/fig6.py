@@ -128,8 +128,8 @@ class Fig6Config:
     #: Request-class mix re-weighting, ``((name, weight), ...)``; `None``
     #: runs the scenario's declared mix (validated by the runner).
     class_mix: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Chunked interval simulation (``RunnerConfig.chunk_requests``):
-    #: ``None`` keeps the monolithic exact path.
+    #: Streaming chunk size (``RunnerConfig.chunk_requests``); only
+    #: streaming summaries chunk, and it never changes an exact result.
     chunk_requests: Optional[int] = None
     #: Latency summary mode forwarded to the runner (``"auto"`` /
     #: ``"exact"`` / ``"streaming"``).

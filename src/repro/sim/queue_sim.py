@@ -36,34 +36,29 @@ sample records, for redundancy/reissue policies, the latency of the
 
 Scaling to 10⁶–10⁷ requests per interval
 ----------------------------------------
-``chunk_requests`` processes the interval in fixed-size request chunks,
-threading each component's Lindley queue state across chunk boundaries
-(:class:`~repro.simcore.lindley.LindleyCarry`).  Two collection modes:
+There is one pass per summary mode.  Exact summaries (no
+``stream_into``) always take the one monolithic pass, whose sample
+paths are golden-pinned, whatever ``chunk_requests`` says: chunking
+never changes an exact result.
 
-- **exact chunked** (``chunk_requests`` set, no ``stream_into``): all
-  randomness is pre-drawn in the legacy single-pass call order and
-  sliced per chunk, and the Lindley carry replays the monolithic float
-  operations exactly — the returned :class:`IntervalOutcome` is
-  **bit-identical** to the unchunked one for any chunk size (the
-  identity tests' contract).  Sample arrays are still O(requests); this
-  mode exists as the provable stepping stone between the legacy path
-  and the streaming one.
-- **streaming chunked** (``chunk_requests`` + ``stream_into``): true
-  single-pass O(chunk) memory.  Arrivals are generated per time window
-  (Poisson count + sorted uniforms per window — an exact Poisson
-  process), service randomness is drawn per chunk (a different, still
-  fully seeded stream than the monolithic path — no bit-identity
-  contract, by design), and every chunk's latencies are folded into the
-  caller's :class:`~repro.sim.estimators.IntervalAccumulatorSet` and
-  freed.  The returned outcome carries the accumulators instead of
-  sample arrays.
+Streaming summaries (``stream_into`` set) with ``chunk_requests``
+process the interval in fixed-size request chunks in true single-pass
+O(chunk) memory, threading each component's Lindley queue state across
+chunk boundaries (:class:`~repro.simcore.lindley.LindleyCarry`).
+Arrivals are generated per time window (Poisson count + sorted
+uniforms per window — an exact Poisson process), service randomness is
+drawn per chunk (a different, still fully seeded stream than the
+monolithic pass — no bit-identity contract, by design), and every
+chunk's latencies are folded into the caller's
+:class:`~repro.sim.estimators.IntervalAccumulatorSet` and freed.  The
+returned outcome carries the accumulators instead of sample arrays.
 
 Only kernels with ``supports_chunking`` (random splitting — Basic/PCS)
 can chunk; for the others (redundancy's sibling cancellation and
 reissue's interval-global percentile timer are inherently
-whole-interval) the simulator silently falls back to the monolithic
-pass, still honouring ``stream_into`` by folding the monolithic arrays
-into the accumulators at the end.
+whole-interval), and when no chunk size is given, a streamed interval
+takes the monolithic pass and folds its arrays into the accumulators at
+the end.
 """
 
 from __future__ import annotations
@@ -250,9 +245,10 @@ def simulate_service_interval(
         its class's effective probability, and its service samples are
         multiplied by the class's ``service_scale``.
     chunk_requests:
-        Process the interval in request chunks of this size (see the
-        module docstring).  ``None`` — the default — is the exact
-        legacy single pass.
+        Streaming chunk size (see the module docstring): with
+        ``stream_into`` on a chunk-capable kernel, the interval is
+        simulated in request chunks of this size.  Ignored by exact
+        summaries, which always take the monolithic pass.
     stream_into:
         Fold every latency into this accumulator set instead of
         returning sample arrays (O(chunk) memory when combined with
@@ -277,12 +273,11 @@ def simulate_service_interval(
     kernel = routing_kernel_for(policy)
     if threshold_feed is not None:
         kernel = kernel.bind_threshold_feed(threshold_feed)
-    if chunk_requests is not None and kernel.supports_chunking:
-        if stream_into is None:
-            return _simulate_chunked_exact(
-                topology, kernel, arrival_rate, duration_s,
-                service_dists, rng, classes, chunk_requests,
-            )
+    if (
+        chunk_requests is not None
+        and stream_into is not None
+        and kernel.supports_chunking
+    ):
         return _simulate_chunked_streaming(
             topology, kernel, arrival_rate, duration_s,
             service_dists, rng, classes, chunk_requests, stream_into,
@@ -409,102 +404,6 @@ def _simulate_monolithic(
     )
 
 
-def _simulate_chunked_exact(
-    topology: ServiceTopology,
-    kernel,
-    arrival_rate: float,
-    duration_s: float,
-    service_dists: Mapping[str, Distribution],
-    rng: np.random.Generator,
-    classes: Optional[ResolvedClassMix],
-    chunk: int,
-) -> IntervalOutcome:
-    """Chunked pass, bit-identical to :func:`_simulate_monolithic`.
-
-    All randomness is drawn up front in exactly the legacy call order
-    (arrivals, class draws, then per stage/group: participation draws
-    and the kernel's pre-draw); the chunk loop only *slices* those
-    buffers, and the Lindley carry replays the monolithic float
-    operations exactly, so every output array matches bit for bit.
-    """
-    arrivals = poisson_arrivals(arrival_rate, duration_s, rng)
-    n = arrivals.size
-    class_of, scale = _class_draws(classes, rng, n)
-    # Phase 1: pre-draw per-(stage, group) randomness in legacy order.
-    plans: List[Tuple[Optional[np.ndarray], object]] = []
-    gi = 0
-    for stage in topology.stages:
-        for group in stage.groups:
-            take: Optional[np.ndarray] = None
-            if classes is not None:
-                p_req = classes.group_participation[class_of, gi]
-                gi += 1
-                if not np.all(p_req >= 1.0):
-                    take = rng.random(n) < p_req
-            elif group.optional:
-                take = rng.random(n) < group.participation
-            m = n if take is None else int(np.count_nonzero(take))
-            plans.append(
-                (take, kernel.predraw_group(m, group, service_dists, rng))
-            )
-    # Phase 2: slice per chunk, carrying queue state per component.
-    sojourns: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    services: Dict[str, List[np.ndarray]] = {
-        c.name: [] for c in topology.components
-    }
-    carries: Dict[str, LindleyCarry] = {}
-    overall_parts: List[np.ndarray] = []
-    predecessors = topology.predecessor_indices
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        t_chunk = arrivals[a:b]
-        scale_chunk = None if scale is None else scale[a:b]
-        completions: List[np.ndarray] = []
-        pi = 0
-        for si, stage in enumerate(topology.stages):
-            stage_lat = np.zeros(b - a)
-            for group in stage.groups:
-                take, draws = plans[pi]
-                pi += 1
-                if take is None:
-                    group_lat = kernel.route_chunk(
-                        t_chunk, group, draws, scale_chunk,
-                        sojourns, services, carries,
-                    )
-                    np.maximum(stage_lat, group_lat, out=stage_lat)
-                else:
-                    tk = take[a:b]
-                    sub_lat = kernel.route_chunk(
-                        t_chunk[tk], group, draws,
-                        None if scale_chunk is None else scale_chunk[tk],
-                        sojourns, services, carries,
-                    )
-                    stage_lat[tk] = np.maximum(stage_lat[tk], sub_lat)
-            completions.append(
-                _stage_completions(predecessors[si], completions, stage_lat)
-            )
-        overall_parts.append(_compose_overall(topology, completions))
-    return IntervalOutcome(
-        request_latencies=(
-            np.concatenate(overall_parts) if overall_parts else np.empty(0)
-        ),
-        component_sojourns={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in sojourns.items()
-        },
-        component_service_samples={
-            name: (np.concatenate(parts) if parts else np.empty(0))
-            for name, parts in services.items()
-        },
-        duration_s=float(duration_s),
-        arrival_rate=float(arrival_rate),
-        class_of=class_of,
-        class_names=None if classes is None else classes.names,
-    )
-
-
 def _simulate_chunked_streaming(
     topology: ServiceTopology,
     kernel,
@@ -571,18 +470,18 @@ def _simulate_chunked_streaming(
                 elif group.optional:
                     take = rng.random(cnt) < group.participation
                 if take is None:
-                    group_lat = kernel.route_group(
+                    group_lat = kernel.route_group_outcome(
                         t_chunk, group, service_dists, rng,
                         chunk_soj, chunk_svc, sub_scale, carries=carries,
-                    )
+                    ).latencies
                     np.maximum(stage_lat, group_lat, out=stage_lat)
                 else:
-                    sub_lat = kernel.route_group(
+                    sub_lat = kernel.route_group_outcome(
                         t_chunk[take], group, service_dists, rng,
                         chunk_soj, chunk_svc,
                         None if sub_scale is None else sub_scale[take],
                         carries=carries,
-                    )
+                    ).latencies
                     stage_lat[take] = np.maximum(stage_lat[take], sub_lat)
             completions.append(
                 _stage_completions(predecessors[si], completions, stage_lat)

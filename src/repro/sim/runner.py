@@ -117,12 +117,11 @@ class RunnerConfig:
     #: drops that class from the run.  Stored canonically as a tuple of
     #: ``(str, float)`` pairs so sweep manifests hash it stably.
     class_mix: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Process each interval's requests in chunks of this size,
-    #: threading queue backlog across chunk boundaries
-    #: (:mod:`repro.sim.queue_sim`).  ``None`` — the default — is the
-    #: exact legacy single pass; with a value and the default exact
-    #: summaries the results are still **bit-identical** (identity-
-    #: tested), chunking only bounds the working set.
+    #: Streaming chunk size: with streaming summaries, each interval's
+    #: requests are simulated in chunks of this size, threading queue
+    #: backlog across chunk boundaries (:mod:`repro.sim.queue_sim`), so
+    #: memory stays O(chunk).  Exact summaries ignore it — chunking
+    #: never changes an exact result (identity-tested).
     chunk_requests: Optional[int] = None
     #: How latency samples are reduced to summaries: ``"exact"`` stores
     #: every sample (nearest-rank percentiles, the golden-pinned path),
@@ -753,44 +752,3 @@ class ExperimentRunner:
                 ids.extend([next_id] * group.n_replicas)
                 next_id += 1
         return np.asarray(ids, dtype=np.int64)
-
-    def _schedule_interval(
-        self,
-        cluster,
-        service,
-        monitor,
-        scheduler,
-        executor,
-        outcome,
-        classes: Optional[ResolvedClassMix] = None,
-    ) -> Set[str]:
-        """Monitor → matrix inputs → Algorithm 1 → enforcement.
-
-        Compatibility wrapper over the control-plane phases for callers
-        holding the pieces but no :class:`RunState`; the in-loop path
-        drives the same phases through the state's control loop.
-        """
-        from repro.controlplane.phases import (
-            ActuatePhase,
-            DecidePhase,
-            MonitorPhase,
-            PredictPhase,
-        )
-
-        cfg = self.config
-        service_slots = max(
-            1, cfg.machine_slots - cfg.generator.max_batch_jobs_per_node
-        )
-        snapshot = MonitorPhase(monitor, cluster, cfg.interval_s).observe(
-            0, outcome
-        )
-        inputs = PredictPhase(
-            service,
-            cluster,
-            classes,
-            cfg.interval_s,
-            service_slots,
-            self._global_group_ids(service),
-        ).inputs(snapshot)
-        decision = DecidePhase(scheduler).decide(inputs)
-        return ActuatePhase(executor).apply(decision)

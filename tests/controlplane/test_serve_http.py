@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.controlplane.http import _route
+from repro.controlplane.http import MAX_BODY_BYTES, _route, start_http_server
 from repro.controlplane.service import (
     LiveControlPlane,
     ServeConfig,
@@ -127,6 +127,66 @@ class TestRouting:
         status, body = self._req("GET", "/sweeps")
         assert status == 200
         assert json.loads(body) == {"sweeps": []}
+
+
+def _raw_exchange(plane, request: bytes) -> bytes:
+    """Send ``request`` verbatim to a freshly bound server and return
+    everything it answers before closing the connection."""
+
+    async def exchange():
+        server = await start_http_server(plane, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request)
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return response
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(exchange())
+
+
+class TestRawRequests:
+    """The request parser over a real socket: malformed headers get a
+    JSON error with the right status, never a silently closed socket."""
+
+    def _post(self, length: str, body: bytes = b""):
+        request = (
+            f"POST /policy HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("latin-1") + body
+        return _parse(_raw_exchange(_StubPlane(), request))
+
+    def test_well_formed_request_is_served(self):
+        request = b"GET /status HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, body = _parse(_raw_exchange(_StubPlane(), request))
+        assert status == 200
+        assert json.loads(body) == {"status": "running"}
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "0x10"])
+    def test_non_integer_content_length_400(self, length):
+        status, body = self._post(length)
+        assert status == 400
+        assert b"Content-Length" in body
+
+    def test_negative_content_length_400(self):
+        status, body = self._post("-5", b"12345")
+        assert status == 400
+        assert b"Content-Length" in body
+
+    def test_oversized_body_413(self):
+        status, body = self._post(str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert b"too large" in body
+
+    def test_malformed_request_line_400(self):
+        status, _ = _parse(_raw_exchange(_StubPlane(), b"GARBAGE\r\n\r\n"))
+        assert status == 400
 
 
 class TestSweepManager:

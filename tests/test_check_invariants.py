@@ -76,3 +76,67 @@ def test_seeded_generators_pass(tmp_path):
 def test_missing_tree_exits_2(tmp_path):
     proc = _run(str(tmp_path / "nope"))
     assert proc.returncode == 2
+
+
+def test_upward_controlplane_import_reported(tmp_path):
+    (tmp_path / "sim").mkdir()
+    bad = tmp_path / "sim" / "mod.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "\n"
+        "def f():\n"
+        "    from repro.controlplane.phases import MonitorPhase\n"
+    )
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert f"{bad}:4: upward import of repro.controlplane.phases" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "import repro.controlplane.loop\n",
+        "from repro import controlplane\n",
+        "from .. import controlplane\n",
+        "from ..controlplane.http import start_http_server\n",
+    ],
+)
+def test_every_upward_import_form_fires(tmp_path, line):
+    (tmp_path / "sim").mkdir()
+    (tmp_path / "sim" / "mod.py").write_text(line)
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert "upward import of repro.controlplane" in proc.stderr
+
+
+def test_controlplane_and_cli_may_import_it(tmp_path):
+    (tmp_path / "controlplane").mkdir()
+    (tmp_path / "controlplane" / "service.py").write_text(
+        "from repro.controlplane.loop import ControlLoop\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from repro.controlplane.service import LiveControlPlane\n"
+    )
+    assert _run(str(tmp_path)).returncode == 0
+
+
+def test_only_the_control_loop_builder_is_sanctioned(tmp_path):
+    (tmp_path / "sim").mkdir()
+    runner = tmp_path / "sim" / "runner.py"
+    runner.write_text(
+        "class ExperimentRunner:\n"
+        "    def control_loop(self, state):\n"
+        "        from repro.controlplane.loop import ControlLoop\n"
+        "        return ControlLoop(self, state)\n"
+    )
+    assert _run(str(tmp_path)).returncode == 0
+    runner.write_text(
+        runner.read_text()
+        + "\n"
+        "    def run_interval(self, state):\n"
+        "        from repro.controlplane.loop import ControlLoop\n"
+    )
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert f"{runner}:7: upward import" in proc.stderr
+    assert "1 violation(s)" in proc.stderr
