@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Static invariant checks over ``src/repro`` — tier-1 CI gate.
 
-Three repo-wide conventions are load-bearing enough to enforce
+Four repo-wide conventions are load-bearing enough to enforce
 mechanically rather than by review:
 
 **Percentile invariant.**  Latency percentiles are nearest-rank, never
@@ -28,6 +28,13 @@ the CLI (``cli.py``) may import it.  Exactly one upward import is
 sanctioned: the lazy ``ControlLoop`` import in
 ``ExperimentRunner.control_loop`` (``sim/runner.py``), which builds the
 loop the runner delegates to.
+
+**Batch-invariance invariant.**  An Eq. 1 prediction, and so an entry
+of the performance matrix, must not depend on which other rows share
+its batch.  A BLAS product (``@``, ``dot``, ``matmul``) can round
+differently by batch shape, and ``np.vander`` exists to feed one, so
+none of them may appear in ``PolynomialRegressor.predict``
+(``model/regression.py``) or anywhere in ``model/matrix.py``.
 
 Violations print ``path:line: message`` and exit 1, so the CI log
 points straight at the offending statement.  Run from the repo root::
@@ -102,6 +109,16 @@ CONTROLPLANE_SANCTIONED = {
 
 UPWARD_PACKAGE = "repro.controlplane"
 
+#: Batch-invariant scopes: file -> qualified function name, or None
+#: for the whole file.
+BATCH_INVARIANT_SCOPES = {
+    "model/matrix.py": None,
+    "model/regression.py": "PolynomialRegressor.predict",
+}
+
+#: Attribute calls banned in those scopes, besides the ``@`` operator.
+BLAS_CALLS = ("dot", "matmul", "vander")
+
 
 def _imported_modules(node: ast.AST, package: str) -> list[str]:
     """Absolute module names an import statement pulls in."""
@@ -163,6 +180,53 @@ def check_layering(path: Path, src_root: Path) -> tuple[list[str], set]:
     return violations, used
 
 
+def check_batch_invariance(path: Path, src_root: Path) -> tuple[list[str], bool]:
+    """BLAS products inside a batch-invariant scope of one file, and
+    whether the file's scoped function was found (always True for a
+    whole-file scope or a file without one)."""
+    rel = path.relative_to(src_root).as_posix()
+    if rel not in BATCH_INVARIANT_SCOPES:
+        return [], True
+    scope = BATCH_INVARIANT_SCOPES[rel]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    violations: list[str] = []
+    seen = scope is None
+
+    def visit(node: ast.AST, qual: tuple) -> None:
+        nonlocal seen
+        for child in ast.iter_child_nodes(node):
+            inner = qual
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = qual + (child.name,)
+            name = ".".join(inner)
+            seen = seen or name == scope
+            if scope is None or name == scope or name.startswith(scope + "."):
+                what = None
+                if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    child.op, ast.MatMult
+                ):
+                    what = "@"
+                elif (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in BLAS_CALLS
+                ):
+                    what = child.func.attr
+                if what is not None:
+                    violations.append(
+                        f"{path}:{child.lineno}: {what} in "
+                        f"{scope or rel} — a BLAS product can round by "
+                        f"batch shape; evaluate elementwise so predictions "
+                        f"stay batch-invariant"
+                    )
+            visit(child, inner)
+
+    visit(tree, ())
+    return violations, seen
+
+
 def iter_source_files(src_root: Path) -> list[Path]:
     if not src_root.is_dir():
         print(f"{src_root}: source tree not found", file=sys.stderr)
@@ -207,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     missing = []
     seen_raw: dict[str, int] = {}
     used_sites: set = set()
+    found_scopes: set = set()
     files = iter_source_files(src_root)
     for path in files:
         violations.extend(check_file(path, src_root))
@@ -214,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         violations.extend(layering)
         used_sites |= used
         rel = path.relative_to(src_root).as_posix()
+        blas, scope_found = check_batch_invariance(path, src_root)
+        violations.extend(blas)
+        if scope_found:
+            found_scopes.add(rel)
         if rel in PERCENTILE_SANCTIONED:
             n = sum(
                 1
@@ -240,6 +309,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"{scope} not found — update CONTROLPLANE_SANCTIONED in "
                 f"scripts/check_invariants.py if it moved"
             )
+        for rel, scope in sorted(BATCH_INVARIANT_SCOPES.items()):
+            if rel not in found_scopes:
+                missing.append(
+                    f"{src_root / rel}: batch-invariant scope "
+                    f"{scope or 'whole file'} not found — update "
+                    f"BATCH_INVARIANT_SCOPES in scripts/check_invariants.py "
+                    f"if it moved"
+                )
     problems = violations + missing
     if problems:
         print("\n".join(problems), file=sys.stderr)

@@ -16,19 +16,40 @@ any component on the target    ``U + U_{c_i}``
 any other component            ``U``  (unchanged)
 =============================  ======================================
 
-Two implementations with identical results (property-tested):
+Two implementations with equal results (property-tested):
 
 ``build(method="reference")``
     literal translation of the rules above — O(m·k) entries, each
     recomputing all m latencies; kept legible as the specification.
 
 ``build(method="fast")``
-    the production path: per migrating component ``i`` it builds the
-    ``(k, m)`` effective-latency sheet with three vectorised updates
-    (origin column block, one scatter for every target node, the moved
-    component's own column) and reduces stage maxima with one
-    ``np.maximum.reduceat`` — no Python-level inner loops, following
-    the vectorise-the-hot-path guidance of the HPC notes.
+    the production path.  One entries kernel,
+    ``PerformanceMatrix._entries(rows, cols)``, returns
+    ``L[rows][:, cols]`` and ``R[rows][:, cols]``, working through the
+    rows in memory-bounded blocks:
+
+    1. *Predictions* — one class-batched Eq. 1/Eq. 2 prediction per
+       block, made only where Table III changes the contention: the
+       other components on a row's origin lose ``d_i``, the components
+       on a target column gain it (m + m/k per full row).
+    2. *Unaffected groups* — their stage maximum is the first entry of
+       a per-stage top-Q list of base group means that has no member
+       on either node; no ``(k × m)`` sheet is ever materialised.
+    3. *Affected groups* — only replica groups with a member on the
+       origin or on the target column get a new mean, each summed
+       member by member (``np.add.reduceat``) in group order, and
+       raise their stage's maximum.
+    4. *Compose* — stage maxima go through the chain sum, the DAG
+       critical path or the class mix, as for the base latency.
+
+    ``build("fast")`` is all rows × all columns; Algorithm 2's refresh
+    (:meth:`PerformanceMatrix.algorithm2_update`) is the candidates on
+    the origin/destination × all columns plus the other candidates ×
+    those two columns; :meth:`PerformanceMatrix.rebuild_rows` is rows ×
+    all columns.  Each step reads only the entry's own inputs, and
+    Eq. 1 predictions are batch-invariant
+    (:meth:`repro.model.regression.PolynomialRegressor.predict`), so an
+    entry is bit-identical whichever block or caller computed it.
 
 The matrix also tracks ``R[i][j]`` — the migrated component's *own*
 latency reduction — because Algorithm 1 line 7 breaks ties on it.
@@ -37,7 +58,7 @@ latency reduction — because Algorithm 1 line 7 breaks ties on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,6 +315,91 @@ class MatrixInputs:
         )
 
 
+#: Most work items (predictions, member latencies, top-list slots) one
+#: block of :meth:`PerformanceMatrix._entries` holds at once.  Rows are
+#: grouped into blocks under this bound, so memory stays flat however
+#: many rows a call asks for; no entry depends on the block size.
+_BLOCK_ITEMS = 1 << 15
+
+
+def _csr_expand(
+    ptr: np.ndarray, keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``ptr[key] .. ptr[key + 1] - 1`` of every key,
+    concatenated in key order, and the index of the key each came from."""
+    starts = ptr[keys]
+    counts = ptr[keys + 1] - starts
+    owner = np.repeat(np.arange(keys.size), counts)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(owner.size) + shift, owner
+
+
+@dataclass
+class _Layout:
+    """Where components and replica groups sit under one allocation —
+    what the entries kernel indexes instead of materialising sheets.
+
+    ``on_node[g, n]`` says group ``g`` has a member on node ``n``.
+    Each stage keeps a top list of the ``Q`` groups with the largest
+    base means, in descending order and padded with a sentinel group
+    whose mean is ``-inf``; ``Q = 2·(most groups of one stage on one
+    node) + 1``.  A migration touches at most ``Q − 1`` groups of a
+    stage, so the first untouched group on the list holds the stage's
+    maximum over untouched groups.
+    """
+
+    node_ptr: np.ndarray  # (k + 1,) CSR offsets into node_comps
+    node_comps: np.ndarray  # (m,) components sorted by node
+    node_rank: np.ndarray  # (m,) each component's position on its node
+    max_per_node: int
+    group_ptr: np.ndarray  # (k + 1,) CSR offsets into node_groups
+    node_groups: np.ndarray  # groups with a member on each node, ascending
+    on_node: np.ndarray  # (G + 1, k) bool; the last row is the sentinel's
+    top_means: np.ndarray  # (Q, S) base means down each stage's top list
+    top_on_node: np.ndarray  # (Q, k, S) bool: entry q of stage s is on node n
+
+    @classmethod
+    def of(cls, pm: "PerformanceMatrix") -> "_Layout":
+        inp = pm.inputs
+        k = inp.k
+        n_groups = pm._group_offsets.size
+        node_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(inp.assignment, minlength=k))]
+        )
+        node_comps = np.argsort(inp.assignment, kind="stable")
+        node_rank = np.empty(inp.m, dtype=np.int64)
+        node_rank[node_comps] = (
+            np.arange(inp.m) - node_ptr[inp.assignment[node_comps]]
+        )
+        on_node = np.zeros((n_groups + 1, k), dtype=bool)
+        on_node[pm._group_ordinal, inp.assignment] = True
+        nz_node, nz_group = np.nonzero(on_node[:-1].T)
+        per_stage_node = np.add.reduceat(
+            on_node[:-1].astype(np.int64), pm._stage_offsets_groups, axis=0
+        )
+        stage_sizes = np.diff(np.append(pm._stage_offsets_groups, n_groups))
+        q = int(min(2 * per_stage_node.max() + 1, stage_sizes.max()))
+        order = np.lexsort((-pm._base_group_means, pm._group_stage))
+        stage = pm._group_stage[order]
+        rank = np.arange(n_groups) - pm._stage_offsets_groups[stage]
+        keep = rank < q
+        top = np.full((q, stage_sizes.size), n_groups, dtype=np.int64)
+        top[rank[keep], stage[keep]] = order[keep]
+        return cls(
+            node_ptr=node_ptr,
+            node_comps=node_comps,
+            node_rank=node_rank,
+            max_per_node=int(np.diff(node_ptr).max()),
+            group_ptr=np.concatenate(
+                [[0], np.cumsum(np.bincount(nz_node, minlength=k))]
+            ),
+            node_groups=nz_group,
+            on_node=on_node,
+            top_means=np.append(pm._base_group_means, -np.inf)[top],
+            top_on_node=np.ascontiguousarray(on_node[top].transpose(0, 2, 1)),
+        )
+
+
 class PerformanceMatrix:
     """Builds and incrementally maintains ``L`` (and the tie-break ``R``)."""
 
@@ -316,6 +422,16 @@ class PerformanceMatrix:
         # group-mean updates in entry().
         self._group_ordinal = (
             np.searchsorted(self._group_offsets, np.arange(inputs.m), side="right")
+            - 1
+        )
+        # Group member ranges and stage ordinals, for the entries kernel.
+        self._group_ptr = np.append(self._group_offsets, inputs.m)
+        self._group_stage = (
+            np.searchsorted(
+                self._stage_offsets_groups,
+                np.arange(self._group_offsets.size),
+                side="right",
+            )
             - 1
         )
         # With one component per group (the paper's exact Eq. 3) the
@@ -344,13 +460,13 @@ class PerformanceMatrix:
                 self._mix_participation
                 * inputs.class_service_scales[:, None]
             )
-        # Class-batched index lists, computed once.
-        self._class_rows: Dict[ComponentClass, np.ndarray] = {}
-        for cls in set(inputs.classes):
-            rows = np.array(
-                [i for i, c in enumerate(inputs.classes) if c is cls], dtype=np.int64
-            )
-            self._class_rows[cls] = rows
+        # Component classes (first-appearance order) and each
+        # component's class index, for class-batched predictions.
+        self._classes: List[ComponentClass] = list(dict.fromkeys(inputs.classes))
+        index = {cls: cid for cid, cls in enumerate(self._classes)}
+        self._class_id = np.array(
+            [index[cls] for cls in inputs.classes], dtype=np.int64
+        )
         self.L: Optional[np.ndarray] = None
         self.R: Optional[np.ndarray] = None
         self._refresh_base()
@@ -366,17 +482,7 @@ class PerformanceMatrix:
 
     def _latencies_full(self, contention: np.ndarray) -> np.ndarray:
         """Latency of every component under an ``(m, 4)`` contention array."""
-        inp = self.inputs
-        out = np.empty(inp.m, dtype=np.float64)
-        for cls, rows in self._class_rows.items():
-            means = self.predictor.predict_mean_service(cls, contention[rows])
-            out[rows] = _mg1(
-                means,
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows],
-                self.predictor.rho_max,
-            )
-        return out
+        return self._latencies_subset(np.arange(self.inputs.m), contention)
 
     def _compose(self, stage_max: np.ndarray) -> np.ndarray:
         """Overall latency from per-stage maxima: Eq. 4's chain sum, or
@@ -434,6 +540,7 @@ class PerformanceMatrix:
         )
 
     def _refresh_base(self) -> None:
+        self._layout_cache: Optional[_Layout] = None
         self._u_now = self._contention_now()
         self.base_latencies = self._latencies_full(self._u_now)
         self._base_group_means = (
@@ -459,7 +566,7 @@ class PerformanceMatrix:
         return self.base_overall
 
     # ------------------------------------------------------------------
-    # single entry (specification; also used by Algorithm 2 updates)
+    # single entry (the specification the reference build calls)
     # ------------------------------------------------------------------
     def entry(self, i: int, j: int) -> tuple[float, float]:
         """Exact ``(L[i][j], R[i][j])`` for one candidate migration.
@@ -503,29 +610,27 @@ class PerformanceMatrix:
     def _latencies_subset(
         self, rows: np.ndarray, contention: np.ndarray
     ) -> np.ndarray:
-        """Latencies of selected components under given contention rows."""
+        """Latencies of components ``rows`` (repeats allowed) under the
+        matching contention rows — one prediction per class."""
         inp = self.inputs
-        out = np.empty(rows.size, dtype=np.float64)
-        if len(self._class_rows) == 1:
-            cls = next(iter(self._class_rows))
-            means = self.predictor.predict_mean_service(cls, contention)
+        if len(self._classes) == 1:
+            cls = self._classes[0]
             return _mg1(
-                means,
+                self.predictor.predict_mean_service(cls, contention),
                 self.predictor.scv(cls),
                 inp.arrival_rates[rows],
                 self.predictor.rho_max,
             )
-        classes = inp.classes
-        for cls, _ in self._class_rows.items():
-            sel = np.array(
-                [p for p, r in enumerate(rows) if classes[int(r)] is cls],
-                dtype=np.int64,
-            )
+        out = np.empty(rows.size, dtype=np.float64)
+        row_class = self._class_id[rows]
+        for cid, cls in enumerate(self._classes):
+            sel = np.flatnonzero(row_class == cid)
             if sel.size == 0:
                 continue
-            means = self.predictor.predict_mean_service(cls, contention[sel])
             out[sel] = _mg1(
-                means,
+                self.predictor.predict_mean_service(
+                    cls, np.take(contention, sel, 0)
+                ),
                 self.predictor.scv(cls),
                 inp.arrival_rates[rows[sel]],
                 self.predictor.rho_max,
@@ -537,10 +642,13 @@ class PerformanceMatrix:
     # ------------------------------------------------------------------
     def build(self, method: str = "fast") -> "PerformanceMatrix":
         """Compute the full ``L`` and ``R``; returns self."""
+        inp = self.inputs
         if method == "reference":
             self._build_reference()
         elif method == "fast":
-            self._build_fast()
+            self.L, self.R = self._entries(
+                np.arange(inp.m, dtype=np.int64), np.arange(inp.k, dtype=np.int64)
+            )
         else:
             raise ModelError(f"unknown build method {method!r}")
         return self
@@ -554,64 +662,178 @@ class PerformanceMatrix:
                 L[i, j], R[i, j] = self.entry(i, j)
         self.L, self.R = L, R
 
-    def _arrival_means(self) -> dict:
-        """Mean service time of each class for a *new arrival* on every
-        node (Table III row 1) — one batched prediction per class."""
-        return {
-            cls: self.predictor.predict_mean_service(cls, self.inputs.node_totals)
-            for cls in self._class_rows
-        }
+    # ------------------------------------------------------------------
+    # the entries kernel
+    # ------------------------------------------------------------------
+    def _layout(self) -> _Layout:
+        """Node/group incidence of the current allocation (cached until
+        the next :meth:`_refresh_base`)."""
+        if self._layout_cache is None:
+            self._layout_cache = _Layout.of(self)
+        return self._layout_cache
 
-    def _row(self, i: int, arrival_means: dict) -> tuple:
-        """Vectorised ``(L[i, :], R[i, :])`` for one migrating component."""
+    def _entries(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(L[rows][:, cols], R[rows][:, cols])`` under the current
+        allocation, computed in blocks of rows.
+
+        A block holds at most about :data:`_BLOCK_ITEMS` work items
+        (stage maxima, group members, predictions); no entry depends on
+        which block, or which caller, computed it.
+        """
+        lay = self._layout()
+        origin = self.inputs.assignment[rows]
+        groups_on = np.diff(lay.group_ptr)
+        max_group = int(self._group_sizes.max())
+        per_row = (
+            cols.size
+            * (self._stage_offsets_groups.size + groups_on[origin] * max_group)
+            + int(groups_on[cols].sum()) * max_group
+            + int(np.sum(lay.node_ptr[cols + 1] - lay.node_ptr[cols]))
+            + lay.max_per_node
+        )
+        cuts = np.flatnonzero(np.diff(np.cumsum(per_row) // _BLOCK_ITEMS)) + 1
+        # Each class's mean service time for a new arrival on every node
+        # (Table III row 1), and its Eq. 2 SCV.
+        arrival = np.stack(
+            [
+                self.predictor.predict_mean_service(cls, self.inputs.node_totals)
+                for cls in self._classes
+            ]
+        )
+        scv = np.array([self.predictor.scv(cls) for cls in self._classes])
+        L = np.empty((rows.size, cols.size))
+        R = np.empty((rows.size, cols.size))
+        for lo, hi in zip(
+            np.concatenate([[0], cuts]), np.concatenate([cuts, [rows.size]])
+        ):
+            L[lo:hi], R[lo:hi] = self._entries_block(
+                lay, arrival, scv, rows[lo:hi], cols
+            )
+        return L, R
+
+    def _entries_block(
+        self,
+        lay: _Layout,
+        arrival: np.ndarray,
+        scv: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One block of :meth:`_entries`, steps numbered as in the
+        module docstring."""
         inp = self.inputs
-        m, k = inp.m, inp.k
-        origin = int(inp.assignment[i])
-        d_i = inp.demands[i]
-        # Latency of every component if it loses / gains c_i's demand.
-        l_minus = self._latencies_full(np.maximum(self._u_now - d_i, 0.0))
-        l_plus = self._latencies_full(self._u_now + d_i)
-        # c_i's own latency on each target node.
-        cls_i = inp.classes[i]
+        A = inp.assignment
+        n_r, n_c = rows.size, cols.size
+        origin = A[rows]
+        d = inp.demands[rows]
+        # Candidate pairs (block row b, target column) off the diagonal.
+        pair_b = np.repeat(np.arange(n_r), n_c)
+        pair_col = np.tile(cols, n_r)
+        live = np.flatnonzero(pair_col != origin[pair_b])
+        pair_b, pair_col = pair_b[live], pair_col[live]
+        pair_o = origin[pair_b]
+        pair_row = rows[pair_b]
+
+        # 1. Predictions: the other components on a row's origin lose
+        # its demand, those on a target column gain it.
+        pos, minus_b = _csr_expand(lay.node_ptr, origin)
+        minus_x = lay.node_comps[pos]
+        keep = minus_x != rows[minus_b]
+        minus_x, minus_b = minus_x[keep], minus_b[keep]
+        on_cols = lay.node_comps[_csr_expand(lay.node_ptr, cols)[0]]
+        plus_b, plus_i = np.nonzero(A[on_cols] != origin[:, None])
+        plus_x = on_cols[plus_i]
+        # np.take: row gathers of (n, 4) arrays, far cheaper than [idx].
+        u, take = self._u_now, np.take
+        changed = self._latencies_subset(
+            np.concatenate([minus_x, plus_x]),
+            np.concatenate(
+                [
+                    np.maximum(take(u, minus_x, 0) - take(d, minus_b, 0), 0.0),
+                    take(u, plus_x, 0) + take(d, plus_b, 0),
+                ]
+            ),
+        )
+        # Flat lookup tables: (block row, rank on its node) for the
+        # origin's components, (block row, slot among the target
+        # columns' components) for the targets'.
+        n_minus = minus_x.size
+        lose = np.empty(n_r * lay.max_per_node)
+        lose[minus_b * lay.max_per_node + lay.node_rank[minus_x]] = changed[:n_minus]
+        gain = np.empty(n_r * on_cols.size)
+        gain[plus_b * on_cols.size + plus_i] = changed[n_minus:]
+        col_slot = np.empty(inp.m, dtype=np.int64)
+        col_slot[on_cols] = np.arange(on_cols.size)
+        # The migrating component itself on its target (Table III row 1).
+        row_class = self._class_id[pair_row]
         l_self = _mg1(
-            arrival_means[cls_i],
-            self.predictor.scv(cls_i),
-            inp.arrival_rates[i],
+            arrival[row_class, pair_col],
+            scv[row_class],
+            inp.arrival_rates[pair_row],
             self.predictor.rho_max,
         )
-        # Effective latency sheet: rows = target node j, cols = comp.
-        sheet = np.broadcast_to(self.base_latencies, (k, m)).copy()
-        on_origin = inp.assignment == origin
-        sheet[:, on_origin] = l_minus[on_origin]
-        # Components on the target node j gain c_i's demand.
-        sheet[inp.assignment, np.arange(m)] = l_plus
-        # The migrating component itself.
-        sheet[:, i] = l_self
-        if self._trivial_groups:
-            group_means = sheet
-        else:
-            group_means = (
-                np.add.reduceat(sheet, self._group_offsets, axis=1)
-                / self._group_sizes
-            )
-        stage_max = np.maximum.reduceat(
-            group_means, self._stage_offsets_groups, axis=1
-        )
-        l_row = self.base_overall - self._compose(stage_max)
-        r_row = self.base_latencies[i] - l_self
-        l_row[origin] = 0.0
-        r_row = np.asarray(r_row, dtype=np.float64)
-        r_row[origin] = 0.0
-        return l_row, r_row
 
-    def _build_fast(self) -> None:
-        inp = self.inputs
-        L = np.zeros((inp.m, inp.k))
-        R = np.zeros((inp.m, inp.k))
-        arrival_means = self._arrival_means()
-        for i in range(inp.m):
-            L[i, :], R[i, :] = self._row(i, arrival_means)
-        self.L, self.R = L, R
+        # 2. Unaffected groups: the first group down each stage's top
+        # list with no member on the origin or the target.
+        n_stages = lay.top_means.shape[1]
+        touched = take(lay.top_on_node[0], pair_o, 0) | take(
+            lay.top_on_node[0], pair_col, 0
+        )
+        stage_max = np.repeat(lay.top_means[:1], pair_b.size, axis=0)
+        flat_max = stage_max.reshape(-1)
+        left = np.flatnonzero(touched)
+        flat_max[left] = -np.inf
+        for q in range(1, lay.top_means.shape[0]):
+            if left.size == 0:
+                break
+            p, s = np.divmod(left, n_stages)
+            touched = lay.top_on_node[q, pair_o[p], s] | lay.top_on_node[
+                q, pair_col[p], s
+            ]
+            flat_max[left[~touched]] = lay.top_means[q, s[~touched]]
+            left = left[touched]
+
+        # 3. Affected groups: every group on the origin, plus those on
+        # the target but not on the origin; each one summed member by
+        # member, then folded into its stage's maximum.
+        pos, tri_pair = _csr_expand(lay.group_ptr, pair_o)
+        pos_c, pair_c = _csr_expand(lay.group_ptr, pair_col)
+        tri_c = lay.node_groups[pos_c]
+        keep = ~lay.on_node[tri_c, pair_o[pair_c]]
+        tri_g = np.concatenate([lay.node_groups[pos], tri_c[keep]])
+        tri_pair = np.concatenate([tri_pair, pair_c[keep]])
+        if self._trivial_groups:
+            mem_x, mem_pair = tri_g, tri_pair
+        else:
+            mem_x, mem_t = _csr_expand(self._group_ptr, tri_g)
+            mem_pair = tri_pair[mem_t]
+        lat = self.base_latencies[mem_x]
+        mem_node = A[mem_x]
+        mem_b = pair_b[mem_pair]
+        hit = np.flatnonzero(mem_node == pair_o[mem_pair])
+        lat[hit] = lose[mem_b[hit] * lay.max_per_node + lay.node_rank[mem_x[hit]]]
+        hit = np.flatnonzero(mem_node == pair_col[mem_pair])
+        lat[hit] = gain[mem_b[hit] * on_cols.size + col_slot[mem_x[hit]]]
+        hit = np.flatnonzero(mem_x == pair_row[mem_pair])
+        lat[hit] = l_self[mem_pair[hit]]
+        if self._trivial_groups:
+            means = lat
+        else:
+            sizes = self._group_ptr[tri_g + 1] - self._group_ptr[tri_g]
+            means = (
+                np.add.reduceat(lat, np.cumsum(sizes) - sizes)
+                / self._group_sizes[tri_g]
+            )
+        np.maximum.at(flat_max, tri_pair * n_stages + self._group_stage[tri_g], means)
+
+        # 4. Compose: chain sum, critical path or class mix.
+        L = np.zeros((n_r, n_c))
+        R = np.zeros((n_r, n_c))
+        L.reshape(-1)[live] = self.base_overall - self._compose(stage_max)
+        R.reshape(-1)[live] = self.base_latencies[pair_row] - l_self
+        return L, R
 
     # ------------------------------------------------------------------
     # migration + Algorithm 2 incremental update
@@ -650,97 +872,31 @@ class PerformanceMatrix:
         if self.L is None or self.R is None:
             raise SchedulingError("matrix must be built before updating")
         inp = self.inputs
-        cand = sorted(set(int(c) for c in candidates) - {int(moved)})
-        arrival_means = self._arrival_means()
-        row_refreshed = set()
-        for r in cand:
-            if int(inp.assignment[r]) in (n_origin, n_destination):
-                self.L[r, :], self.R[r, :] = self._row(r, arrival_means)
-                row_refreshed.add(r)
-        column_rows = np.array(
-            [r for r in cand if r not in row_refreshed], dtype=np.int64
+        cand = np.array(
+            sorted(set(int(c) for c in candidates) - {int(moved)}), dtype=np.int64
         )
-        for c in (n_origin, n_destination):
-            self._update_column(c, column_rows, arrival_means)
-
-    def _update_column(
-        self, col: int, rows: np.ndarray, arrival_means: dict
-    ) -> None:
-        """Batched exact recomputation of ``L[rows, col]``/``R[rows, col]``.
-
-        Equivalent to calling :meth:`entry` per row (tested equal) but
-        amortises the work: all (row, affected-component) latency pairs
-        go through one class-batched prediction, and the per-row stage
-        maxima reduce over one ``(n_rows, G)`` group-means sheet.
-        """
-        inp = self.inputs
-        rows = rows[inp.assignment[rows] != col]
-        if rows.size == 0:
-            return
-        n_rows = rows.size
-        # (pair_row, pair_comp): components whose latency changes for
-        # each candidate migration row -> col.
-        pair_row: list = []
-        pair_comp: list = []
-        pair_sign: list = []  # -1 = loses d_r (origin), +1 = gains (target)
-        on_col = np.flatnonzero(inp.assignment == col)
-        comps_on = {
-            int(a): np.flatnonzero(inp.assignment == a)
-            for a in np.unique(inp.assignment[rows])
-        }
-        for p, r in enumerate(rows):
-            origin_comps = comps_on[int(inp.assignment[r])]
-            pair_row.extend([p] * origin_comps.size)
-            pair_comp.extend(origin_comps.tolist())
-            pair_sign.extend([-1] * origin_comps.size)
-            pair_row.extend([p] * on_col.size)
-            pair_comp.extend(on_col.tolist())
-            pair_sign.extend([+1] * on_col.size)
-        pair_row = np.asarray(pair_row, dtype=np.int64)
-        pair_comp = np.asarray(pair_comp, dtype=np.int64)
-        pair_sign = np.asarray(pair_sign, dtype=np.float64)
-        d = inp.demands[rows[pair_row]]
-        u_pairs = np.maximum(
-            self._u_now[pair_comp] + pair_sign[:, None] * d, 0.0
-        )
-        # The migrating component itself sees the target node's total
-        # (Table III row 1) — it appears in its origin block; overwrite.
-        self_mask = pair_comp == rows[pair_row]
-        u_pairs[self_mask] = inp.node_totals[col]
-        l_pairs = self._latencies_subset(pair_comp, u_pairs)
-        # Per-row group means with the pair deltas applied.
-        means = np.tile(self._base_group_means, (n_rows, 1))
-        groups = self._group_ordinal[pair_comp]
-        delta = (l_pairs - self.base_latencies[pair_comp]) / self._group_sizes[
-            groups
-        ]
-        np.add.at(means, (pair_row, groups), delta)
-        stage_max = np.maximum.reduceat(means, self._stage_offsets_groups, axis=1)
-        self.L[rows, col] = self.base_overall - self._compose(stage_max)
-        # Self-gain for the tie-break matrix.
-        l_self = np.empty(n_rows)
-        for cls in self._class_rows:
-            sel = np.array(
-                [p for p, r in enumerate(rows) if inp.classes[int(r)] is cls],
-                dtype=np.int64,
+        on_pair = np.isin(inp.assignment[cand], (n_origin, n_destination))
+        whole = cand[on_pair]
+        if whole.size:
+            self.L[whole], self.R[whole] = self._entries(
+                whole, np.arange(inp.k, dtype=np.int64)
             )
-            if sel.size == 0:
-                continue
-            l_self[sel] = _mg1(
-                arrival_means[cls][col],
-                self.predictor.scv(cls),
-                inp.arrival_rates[rows[sel]],
-                self.predictor.rho_max,
-            )
-        self.R[rows, col] = self.base_latencies[rows] - l_self
+        rest = cand[~on_pair]
+        if rest.size:
+            cols = np.array([n_origin, n_destination], dtype=np.int64)
+            L, R = self._entries(rest, cols)
+            self.L[rest[:, None], cols] = L
+            self.R[rest[:, None], cols] = R
 
     def rebuild_rows(self, rows: Sequence[int]) -> None:
         """Exact refresh of whole rows (used by the 'full' update mode)."""
         if self.L is None or self.R is None:
             raise SchedulingError("matrix must be built before updating")
-        arrival_means = self._arrival_means()
-        for r in rows:
-            self.L[int(r), :], self.R[int(r), :] = self._row(int(r), arrival_means)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size:
+            self.L[rows], self.R[rows] = self._entries(
+                rows, np.arange(self.inputs.k, dtype=np.int64)
+            )
 
 
 def _mg1(means, scv, lam, rho_max):

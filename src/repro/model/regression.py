@@ -115,12 +115,21 @@ class PolynomialRegressor(Regressor):
         return self
 
     def predict(self, u) -> np.ndarray:
+        """Evaluate the polynomial by Horner's rule, elementwise.
+
+        Each output depends on its own input only, so a prediction is
+        bit-identical whatever batch it is made in — unlike a BLAS
+        matrix-vector product over the design matrix, whose blocking
+        (and therefore rounding) can follow the batch shape.
+        """
         if self._coef is None:
             raise NotFittedError("regressor has not been fitted")
         arr = np.asarray(u, dtype=np.float64)
-        scalar = arr.ndim == 0
-        out = self._design(arr.ravel()) @ self._coef
-        return out.reshape(arr.shape) if not scalar else out.reshape(())
+        z = (arr.ravel() - self._u_mean) / self._u_scale
+        out = np.full_like(z, self._coef[-1])
+        for c in self._coef[-2::-1]:
+            out = out * z + c
+        return out.reshape(arr.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"n={self.n_samples}" if self.is_fitted else "unfitted"

@@ -48,7 +48,11 @@ class SchedulerConfig:
         ``"full"`` — exact rebuild of all candidate rows each loop
         (slower, used as the fidelity reference in ablations).
     build_method:
-        ``"fast"`` (vectorised) or ``"reference"`` matrix construction.
+        ``"fast"`` — the blocked entries kernel of
+        :mod:`repro.model.matrix`, which Algorithm 2's refresh and the
+        ``"full"`` update mode share — or ``"reference"``, the literal
+        entry-by-entry specification (far slower).  Both give the same
+        ``L`` up to rounding.
     max_migrations:
         Optional hard cap per interval (the paper observes 10–20).
     tie_tolerance:

@@ -14,6 +14,19 @@ from repro.experiments.fig7 import Fig7Config, make_instance, run_fig7
 from repro.service.nutch import NutchConfig
 
 
+@pytest.fixture
+def restore_scenario_registry():
+    """Put the global scenario registry back after a test registers
+    stubs: their ``build`` returns None, which breaks any later test
+    that walks the whole catalog."""
+    from repro.scenarios.spec import _REGISTRY
+
+    saved = dict(_REGISTRY)
+    yield
+    _REGISTRY.clear()
+    _REGISTRY.update(saved)
+
+
 @pytest.fixture(scope="module")
 def small_fig6():
     cfg = Fig6Config(
@@ -287,6 +300,7 @@ class TestPaperScalePresets:
         assert cfg.n_nodes == 7
         assert cfg.scale == 3.0  # untouched fields still take the preset
 
+    @pytest.mark.usefixtures("restore_scenario_registry")
     def test_presetless_scenario_raises_named_error(self):
         from repro.errors import ConfigurationError
         from repro.scenarios import ScenarioSpec, register_scenario
@@ -302,6 +316,7 @@ class TestPaperScalePresets:
         ):
             Fig6Config(paper_scale=True, scenario="fig6-no-preset")
 
+    @pytest.mark.usefixtures("restore_scenario_registry")
     def test_bogus_preset_key_rejected(self):
         from repro.errors import ConfigurationError
         from repro.scenarios import ScenarioSpec, register_scenario
@@ -336,6 +351,7 @@ class TestPaperScalePresets:
         assert cfg.scale == 1.0
         assert cfg.nutch == NutchConfig()
 
+    @pytest.mark.usefixtures("restore_scenario_registry")
     def test_non_sentinel_field_preset_key_rejected(self):
         """Preset keys are restricted to the None-sentinel fields where
         'left unset' is detectable — a key like `seed` could silently

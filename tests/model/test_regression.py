@@ -68,6 +68,33 @@ class TestFitPredict:
         np.testing.assert_allclose(reg.predict(u), x, rtol=1e-7, atol=1e-9)
 
 
+class TestBatchInvariance:
+    """A prediction must not depend on which other inputs share its
+    call: the performance matrix stacks many rows' contention into one
+    batch and relies on getting each row's single-call value back."""
+
+    @given(
+        degree=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        u=st.lists(
+            st.floats(min_value=0.0, max_value=300.0),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prediction_equals_its_single_row_call(self, degree, seed, u):
+        rng = np.random.default_rng(seed)
+        train = rng.uniform(0, 300, 50)
+        reg = PolynomialRegressor(degree=degree).fit(
+            train, 0.004 + 2e-5 * train + 1e-7 * train**2 + rng.normal(0, 1e-4, 50)
+        )
+        u = np.asarray(u)
+        batch = reg.predict(u)
+        for i in range(u.size):
+            np.testing.assert_array_equal(batch[i], reg.predict(u[i : i + 1])[0])
+
+
 class TestValidation:
     def test_predict_before_fit_rejected(self):
         with pytest.raises(NotFittedError):

@@ -140,3 +140,64 @@ def test_only_the_control_loop_builder_is_sanctioned(tmp_path):
     assert proc.returncode == 1
     assert f"{runner}:7: upward import" in proc.stderr
     assert "1 violation(s)" in proc.stderr
+
+
+def _model_tree(tmp_path, matrix, regression):
+    (tmp_path / "model").mkdir()
+    (tmp_path / "model" / "matrix.py").write_text(matrix)
+    (tmp_path / "model" / "regression.py").write_text(regression)
+    return tmp_path / "model"
+
+
+_REGRESSION_OK = (
+    "import numpy as np\n"
+    "class PolynomialRegressor:\n"
+    "    def _design(self, u):\n"
+    "        return np.vander(u, 3, increasing=True)\n"
+    "    def fit(self, u, x):\n"
+    "        return np.linalg.lstsq(self._design(u) @ np.eye(3), x)\n"
+    "    def predict(self, u):\n"
+    "        out = u * 0 + self.c[-1]\n"
+    "        return out * u + self.c[0]\n"
+)
+
+
+def test_elementwise_predictor_and_matrix_pass(tmp_path):
+    """``@`` and ``np.vander`` stay legal in ``fit`` and outside the
+    batch-invariant scopes."""
+    _model_tree(tmp_path, "y = x * w\n", _REGRESSION_OK)
+    (tmp_path / "model" / "other.py").write_text("y = a @ b\n")
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("y = a @ b\n", "@"),
+        ("y @= b\n", "@"),
+        ("y = np.dot(a, b)\n", "dot"),
+        ("y = a.dot(b)\n", "dot"),
+        ("y = np.matmul(a, b)\n", "matmul"),
+        ("y = np.vander(u, 3)\n", "vander"),
+    ],
+)
+def test_blas_product_in_the_matrix_fires(tmp_path, line, what):
+    model = _model_tree(tmp_path, "def f(a, b, u, y):\n    " + line, _REGRESSION_OK)
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert f"{model / 'matrix.py'}:2: {what} in model/matrix.py" in proc.stderr
+
+
+def test_blas_product_in_predict_fires(tmp_path):
+    regression = _REGRESSION_OK.replace(
+        "        out = u * 0 + self.c[-1]\n",
+        "        out = np.vander(u, 3) @ self.c\n",
+    )
+    model = _model_tree(tmp_path, "", regression)
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    where = f"{model / 'regression.py'}:8:"
+    assert f"{where} vander in PolynomialRegressor.predict" in proc.stderr
+    assert f"{where} @ in PolynomialRegressor.predict" in proc.stderr
+    assert "2 violation(s)" in proc.stderr
