@@ -12,17 +12,20 @@ Four claims, measured:
    always);
 3. resuming a completed sweep from the on-disk cache is at least an
    order of magnitude faster than recomputing it;
-4. on a small grid (<= 8 points) the thread backend beats the spawn
-   process backend: spawn pays an interpreter + numpy import and a
-   cold predictor memo per worker, which a small grid cannot
-   amortise, while threads share all three (asserted everywhere —
-   the grid is sized so that start-up tax dominates its compute).
+4. on the small, quick-Fig. 6 and paper-Fig. 6 grids, the ``auto``
+   rule picks the faster of serial and spawn-process execution, or a
+   tier within that grid's run-to-run spread.  The record
+   (``BENCH_sweep_backends.json``) carries the pooled
+   ``serial_s_per_point``/``node_seconds_per_point`` that
+   :func:`repro.sim.sweep.calibrate_wall_s_per_node_second` turns into
+   ``SIM_WALL_S_PER_NODE_SECOND``.
 
 Measured numbers are persisted as ``BENCH_sweep_*.json`` records (see
 :mod:`recording`).
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -31,9 +34,14 @@ from recording import record_benchmark
 from repro.baselines.policies import BasicPolicy, REDPolicy, ReissuePolicy
 from repro.experiments.fig6 import paper_pcs_policy
 from repro.service.nutch import NutchConfig
-from repro.sim.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.sim import sweep as sweep_mod
+from repro.sim.backends import ProcessBackend, SerialBackend
 from repro.sim.runner import RunnerConfig
-from repro.sim.sweep import ParallelSweepRunner, SweepSpec
+from repro.sim.sweep import (
+    ParallelSweepRunner,
+    SweepSpec,
+    calibrate_wall_s_per_node_second,
+)
 from repro.workloads.generator import GeneratorConfig
 
 
@@ -137,10 +145,9 @@ def test_sweep_parallel_speedup(benchmark, paper_scale):
 def _small_grid_spec() -> SweepSpec:
     """A 6-point grid sized so start-up tax dominates its compute.
 
-    Tiny topology and short intervals keep per-point work around a
-    hundred milliseconds; the PCS policy adds predictor training,
-    which the thread backend performs once (shared memo) and every
-    spawn worker repeats from a cold memo.
+    Tiny topology and short intervals keep per-point work in the tens
+    of milliseconds; the PCS policy adds predictor training, which
+    every spawn worker repeats from a cold memo.
     """
     base = RunnerConfig(
         n_nodes=6,
@@ -166,81 +173,132 @@ def _small_grid_spec() -> SweepSpec:
     )
 
 
+#: The grids claim 4 times every tier on, smallest first.
+_BACKEND_GRIDS = {
+    "small": _small_grid_spec,
+    "quick": lambda: _sweep_spec(paper=False),
+    "paper": lambda: _sweep_spec(paper=True),
+}
+_BACKEND_WORKERS = 2
+_BACKEND_ROUNDS = 3
+
+
+def _node_seconds(spec: SweepSpec) -> float:
+    base = spec.base
+    return base.n_intervals * base.interval_s * base.n_nodes
+
+
 @pytest.mark.benchmark(group="sweep")
-def test_sweep_backends_small_grid(benchmark):
-    """Claim 4: per-backend wall-clock on a small (6-point) grid.
+def test_sweep_backends(benchmark):
+    """Claims 2 and 4: serial, process and ``auto`` on three grids.
 
-    Thread workers share the interpreter, the imported modules and the
-    predictor memo; spawn workers each pay an interpreter + numpy
-    import and train their own predictor.  On a grid this small that
-    overhead cannot be amortised, so the thread backend must win —
-    exactly the regime the ``auto`` rule routes to threads.
+    Every timed run starts from a cold predictor memo, as each spawn
+    worker does, and the tier order rotates between rounds so host
+    drift does not favour one tier.
     """
-    spec = _small_grid_spec()
-    assert spec.n_points <= 8
-
-    # The cost-aware auto rule must route this small *cheap* grid to
-    # threads (the spec-based estimate sits below the spawn-tax
-    # cutoff); the recorded choice rides in the benchmark artifact so
-    # CI provenance shows what `auto` actually picked.
-    auto_choice = ParallelSweepRunner(spec, workers=4)._resolve_backend(
-        spec.n_points, []
-    ).name
-    assert auto_choice == "thread", (
-        f"auto routed the small cheap grid to {auto_choice!r}"
-    )
-
-    backends = {
-        "serial": SerialBackend(),
-        "thread": ThreadBackend(4),
-        "process": ProcessBackend(4),
-        "process_chunked": ProcessBackend(4, chunk_size=2),
+    workers = _BACKEND_WORKERS
+    specs = {grid: make() for grid, make in _BACKEND_GRIDS.items()}
+    choices = {
+        grid: ParallelSweepRunner(spec, workers=workers)
+        ._resolve_backend(spec.n_points, [])
+        .name
+        for grid, spec in specs.items()
     }
-    timings = {}
-    outcomes = {}
+    tiers = {
+        "serial": SerialBackend(),
+        "process": ProcessBackend(workers),
+        "auto": None,
+    }
+    runs = {grid: {tier: [] for tier in tiers} for grid in specs}
 
     def run_all():
-        for name, backend in backends.items():
-            t0 = time.perf_counter()
-            outcomes[name] = ParallelSweepRunner(
-                spec, workers=4, backend=backend
-            ).run()
-            timings[name] = time.perf_counter() - t0
+        for grid, spec in specs.items():
+            reference = None
+            for round_no in range(_BACKEND_ROUNDS):
+                names = list(tiers)
+                names = names[round_no:] + names[:round_no]
+                for tier in names:
+                    sweep_mod._PREDICTOR_MEMO.clear()
+                    t0 = time.perf_counter()
+                    outcome = ParallelSweepRunner(
+                        spec, workers=workers, backend=tiers[tier]
+                    ).run()
+                    runs[grid][tier].append(time.perf_counter() - t0)
+                    metrics = [
+                        outcome.results[point].metrics_dict()
+                        for point in spec.points()
+                    ]
+                    # Claim 2: every tier agrees with the first, bit
+                    # for bit.
+                    if reference is None:
+                        reference = metrics
+                    assert metrics == reference, f"{grid}/{tier}"
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    # Claim 2 first — every backend agrees with serial, bit for bit.
-    for name in backends:
-        for point in spec.points():
-            assert (
-                outcomes[name].results[point].metrics_dict()
-                == outcomes["serial"].results[point].metrics_dict()
-            ), f"{name}: {point.describe()}"
-
-    speedup = timings["process"] / timings["thread"]
-    print(
-        f"\n{spec.n_points}-point grid: "
-        + ", ".join(f"{n} {t:.2f}s" for n, t in timings.items())
-        + f" -> thread beats spawn {speedup:.2f}x"
+    timings = {}
+    n_points = sum(spec.n_points for spec in specs.values())
+    for grid, per_tier in runs.items():
+        for tier, seconds in per_tier.items():
+            timings[f"{grid}.{tier}_s"] = statistics.median(seconds)
+            timings[f"{grid}.{tier}_spread_s"] = max(seconds) - min(seconds)
+        print(
+            f"\n{grid} ({specs[grid].n_points} points, auto -> "
+            f"{choices[grid]}): "
+            + ", ".join(
+                f"{tier} {min(s):.2f}-{max(s):.2f}s"
+                for tier, s in per_tier.items()
+            )
+        )
+    # Pooled over all grids: the calibration input.
+    timings["serial_s_per_point"] = (
+        sum(statistics.median(runs[grid]["serial"]) for grid in specs) / n_points
     )
-    record_benchmark(
-        "sweep_backends_small_grid",
-        {**timings, "thread_vs_process_speedup": speedup},
-        config={
-            "n_points": spec.n_points,
-            "workers": 4,
-            "chunk_size_chunked": 2,
-            "usable_cores": _usable_cores(),
-            "scenario": spec.scenario,
-            "auto_backend_choice": auto_choice,
+    config = {
+        "workers": workers,
+        "rounds": _BACKEND_ROUNDS,
+        "usable_cores": _usable_cores(),
+        "node_seconds_per_point": (
+            sum(_node_seconds(spec) * spec.n_points for spec in specs.values())
+            / n_points
+        ),
+        "grids": {
+            grid: {
+                "n_points": spec.n_points,
+                "node_seconds_per_point": _node_seconds(spec),
+                "estimated_point_cost_s": (
+                    sweep_mod.estimated_point_cost_s(spec.base)
+                ),
+                "auto_backend_choice": choices[grid],
+            }
+            for grid, spec in specs.items()
         },
+    }
+    timings["wall_s_per_node_second"] = calibrate_wall_s_per_node_second(
+        [{"config": config, "timings_s": timings}]
     )
-    # Claim 4: the whole point of the thread backend.
-    assert timings["thread"] < timings["process"], (
-        f"expected the thread backend to beat spawn on a "
-        f"{spec.n_points}-point grid, got thread {timings['thread']:.2f}s "
-        f"vs process {timings['process']:.2f}s"
+    print(
+        f"calibrated {timings['wall_s_per_node_second']:.2e} s per "
+        f"node-second (SIM_WALL_S_PER_NODE_SECOND = "
+        f"{sweep_mod.SIM_WALL_S_PER_NODE_SECOND:.2e})"
     )
+    record_benchmark("sweep_backends", timings, config=config)
+
+    # Claim 4: auto's pick is the faster local tier, or within the
+    # grid's serial-vs-process run-to-run spread of it.
+    for grid in specs:
+        serial_s = timings[f"{grid}.serial_s"]
+        process_s = timings[f"{grid}.process_s"]
+        spread = max(
+            timings[f"{grid}.serial_spread_s"],
+            timings[f"{grid}.process_spread_s"],
+        )
+        picked_s = timings[f"{grid}.{choices[grid]}_s"]
+        assert picked_s <= min(serial_s, process_s) + spread, (
+            f"{grid}: auto picked {choices[grid]} ({picked_s:.2f}s) "
+            f"against serial {serial_s:.2f}s / process {process_s:.2f}s "
+            f"(spread {spread:.2f}s)"
+        )
 
 
 @pytest.mark.benchmark(group="sweep")

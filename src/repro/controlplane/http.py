@@ -37,18 +37,44 @@ __all__ = ["start_http_server"]
 #: receiving more.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines accepted per request (the same bound as the
+#: stdlib's ``http.client``).  Longer lines are capped by the
+#: ``StreamReader`` limit (64 KiB by default).
+MAX_HEADERS = 100
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 
 class PayloadTooLarge(ControlPlaneError):
     """A request body over :data:`MAX_BODY_BYTES` (answered with 413)."""
+
+    http_status = 413
+
+
+class HeaderFieldsTooLarge(ControlPlaneError):
+    """A request or header line over the stream limit, or more than
+    :data:`MAX_HEADERS` header lines (answered with 431)."""
+
+    http_status = 431
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request line; an over-long line is a named error, not the
+    ``ValueError`` ``StreamReader.readline`` raises past its limit."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise HeaderFieldsTooLarge(
+            f"request or header line too long ({exc})"
+        ) from exc
 
 
 def _response(
@@ -85,7 +111,7 @@ async def _read_request(
     """Parse one request; returns ``(method, path, body)`` or ``None``
     on a connection closed before a full request line."""
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
     if not request_line:
@@ -97,10 +123,16 @@ async def _read_request(
         )
     method, path = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
+    n_lines = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
+        n_lines += 1
+        if n_lines > MAX_HEADERS:
+            raise HeaderFieldsTooLarge(
+                f"more than {MAX_HEADERS} header lines"
+            )
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     raw_length = headers.get("content-length", "0") or "0"
@@ -223,7 +255,7 @@ async def start_http_server(
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except ControlPlaneError as exc:
-            status = 413 if isinstance(exc, PayloadTooLarge) else 400
+            status = getattr(exc, "http_status", 400)
             try:
                 writer.write(_error(status, str(exc)))
                 await writer.drain()

@@ -1,9 +1,9 @@
 """Distributed sweep execution over a shared spool directory.
 
-:class:`DistributedBackend` is the fourth implementation of the
-:class:`~repro.sim.backends.ExecutionBackend` seam: instead of threads
-or spawned processes, sweep points run on **worker processes that may
-live on other hosts**, coordinated through nothing but a shared
+:class:`DistributedBackend` is the third implementation of the
+:class:`~repro.sim.backends.ExecutionBackend` seam: instead of inline
+or on local spawn workers, sweep points run on **worker processes that
+may live on other hosts**, coordinated through nothing but a shared
 filesystem (NFS mount, bind-mounted volume, or a local directory for
 same-host workers).  No broker, no sockets — every protocol step is an
 atomic filesystem operation, the same primitive
@@ -71,7 +71,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SpoolError, WorkerTaskError
-from repro.sim.backends import ExecutionBackend, chunked
+from repro.sim.backends import ExecutionBackend
 
 __all__ = [
     "DistributedBackend",
@@ -247,6 +247,33 @@ def _hostname() -> str:
     return socket.gethostname() or "unknown-host"
 
 
+def _claim_stale(path: Path, payload: dict, now: float, lease_s: float) -> bool:
+    """Whether a claim file's worker is gone: provably dead (same host,
+    pid no longer exists) or silent for longer than ``lease_s``.
+
+    A claim with no block yet — its worker renamed the job file and has
+    not stamped it — ages from the rename, which sets the file's ctime;
+    counting it stale at once would re-dispatch a job that is about to
+    run, and the duplicate result would outlive the sweep.
+    """
+    from repro.sim.sweep import _pid_alive
+
+    claim = payload.get("claim") or {}
+    if (
+        claim.get("host") == _hostname()
+        and isinstance(claim.get("pid"), int)
+        and not _pid_alive(claim["pid"])
+    ):
+        return True
+    heartbeat = claim.get("heartbeat")
+    if not isinstance(heartbeat, (int, float)):
+        try:
+            heartbeat = path.stat().st_ctime
+        except FileNotFoundError:
+            return False
+    return now - heartbeat > lease_s
+
+
 def _new_run_id() -> str:
     """Coordinator-unique token prefixed onto this run's job ids."""
     return uuid.uuid4().hex[:12]
@@ -374,8 +401,6 @@ class SweepSpool:
         stale claim, and the next reclaim pass simply drops the claim.
         Returns how many claims were reclaimed.
         """
-        from repro.sim.sweep import _pid_alive
-
         reclaimed = 0
         now = time.time()
         for path in self.claims_dir.glob(f"{run_id}-*.json"):
@@ -383,20 +408,7 @@ class SweepSpool:
                 payload = self._read_json(path)
             except SpoolError:
                 continue  # mid-replace blip on a non-atomic FS; retry later
-            if payload is None:
-                continue
-            claim = payload.get("claim") or {}
-            dead = (
-                claim.get("host") == _hostname()
-                and isinstance(claim.get("pid"), int)
-                and not _pid_alive(claim["pid"])
-            )
-            heartbeat = claim.get("heartbeat")
-            expired = (
-                not isinstance(heartbeat, (int, float))
-                or now - heartbeat > lease_s
-            )
-            if not (dead or expired):
+            if payload is None or not _claim_stale(path, payload, now, lease_s):
                 continue
             job_id = payload.get("job_id") or path.stem
             if (self.results_dir / f"{job_id}.json").exists():
@@ -436,8 +448,8 @@ class SweepSpool:
 
         The claim *is* the rename — after it, no other worker can
         claim the job.  The claim block (pid/host/heartbeat) is written
-        in a second, non-racing step; a crash between the two leaves a
-        claim with no block, which reads as expired and is reclaimed.
+        in a second, non-racing step; a claim with no block ages from
+        the rename, so a crash between the two costs one lease.
         """
         src = self.jobs_dir / f"{job_id}.json"
         dst = self.claims_dir / f"{job_id}.json"
@@ -546,20 +558,9 @@ class SweepSpool:
                 payload = self._read_json(path)
             except SpoolError:
                 continue
-            if payload is None:
-                continue
-            claim = payload.get("claim") or {}
-            dead = (
-                claim.get("host") == _hostname()
-                and isinstance(claim.get("pid"), int)
-                and not _pid_alive(claim["pid"])
-            )
-            heartbeat = claim.get("heartbeat")
-            expired = (
-                not isinstance(heartbeat, (int, float))
-                or now - heartbeat > lease_s
-            )
-            if dead or expired:
+            if payload is not None and _claim_stale(
+                path, payload, now, lease_s
+            ):
                 path.unlink(missing_ok=True)
                 removed.append(path)
         for path in self.workers_dir.glob("*.json"):
@@ -629,8 +630,7 @@ def _execute_job(
     The claim heartbeat is refreshed from a daemon thread while tasks
     compute, so a long point does not look abandoned.  The first
     failing task aborts the rest of its job and reports that task's
-    index — the same chunk semantics as
-    :func:`~repro.sim.backends._run_chunk`.
+    index.
     """
     from repro.sim.sweep import _execute_task
 
@@ -748,8 +748,8 @@ class DistributedBackend(ExecutionBackend):
         The shared spool directory (created if missing).
     chunk_size:
         Sweep points per job file; amortises the per-job dispatch tax
-        (:data:`~repro.sim.backends.NETWORK_DISPATCH_TAX_S`) the way
-        process chunking amortises spawn.
+        (:data:`~repro.sim.backends.NETWORK_DISPATCH_TAX_S`), which
+        each job pays in full.
     wait_workers:
         Block until this many live workers are registered before
         dispatching (0 = dispatch immediately).  Waiting longer than
@@ -831,7 +831,7 @@ class DistributedBackend(ExecutionBackend):
                 "the distributed backend ships (config, policy) sweep "
                 "tasks as JSON job files; it cannot run arbitrary "
                 f"callables (got {getattr(fn, '__name__', fn)!r}) — use "
-                "the serial/thread/process backends for generic maps"
+                "the serial/process backends for generic maps"
             )
         items = list(items)
         if not items:
@@ -842,10 +842,12 @@ class DistributedBackend(ExecutionBackend):
         run_id = _new_run_id()
         self.reclaimed = 0
         outstanding: set = set()
-        for chunk_no, chunk in enumerate(
-            chunked(list(enumerate(items)), self.chunk_size)
+        indexed = list(enumerate(items))
+        for chunk_no, start in enumerate(
+            range(0, len(indexed), self.chunk_size)
         ):
             job_id = f"{run_id}-{chunk_no:06d}"
+            chunk = indexed[start : start + self.chunk_size]
             spool.submit_job(
                 job_id,
                 run_id,

@@ -9,9 +9,9 @@ into wall-clock speed and resumability:
 - :class:`SweepSpec` names a grid (a base :class:`RunnerConfig` plus
   the policies, arrival rates and seeds to cross);
 - :class:`ParallelSweepRunner` fans the grid points out over an
-  :class:`~repro.sim.backends.ExecutionBackend` — inline, in-process
-  threads, or spawn processes (spawn-safe: the worker function is a
-  module-level callable and every argument is a picklable frozen
+  :class:`~repro.sim.backends.ExecutionBackend` — inline, spawn
+  processes, or a distributed spool (spawn-safe: the worker function
+  is a module-level callable and every argument is a picklable frozen
   dataclass) — with per-point deterministic seeding via
   :class:`~repro.rng.RngRegistry` — **results are bit-identical to the
   serial path regardless of backend, worker count or completion
@@ -31,8 +31,8 @@ evaluating in another (or retraining per point) cannot change any
 number.  Workers additionally memoize the trained predictor per
 profiling signature, so evaluating six policies at one seed trains
 once — exactly like the serial :class:`ExperimentRunner` sharing.
-The memo is lock-protected and train-once-per-signature, so thread
-workers share a single training run instead of racing to duplicate it.
+The memo is lock-protected and train-once-per-signature, because
+``repro serve`` runs background sweeps on threads that share it.
 
 Choosing an execution backend
 -----------------------------
@@ -42,50 +42,33 @@ how pending points execute; results are identical for every choice.
 ``serial``
     Inline in the calling thread.  What ``workers=1`` always meant;
     also the right pick for timing-sensitive runs.
-``thread``
-    An in-process thread pool.  No interpreter spawn, no numpy
-    re-import, and the predictor memo is shared — a grid whose points
-    share a profiling signature trains once *total*.  The GIL
-    serialises the simulation compute, so threads win exactly where
-    start-up cost dominates: small grids (≲ 8 points) and resumed
-    sweeps with a handful of missing cells.
 ``process``
-    Spawn-context process workers: each pays an interpreter + numpy
-    import and a cold predictor memo, then computes in true parallel —
-    the right trade for many expensive points on multi-core hosts.
-    ``chunk_size=k`` (CLI ``--chunk-size``) ships batches of ``k``
-    points per task so that start-up cost is amortised per chunk.
+    Spawn-context process workers, one point per task: each pays an
+    interpreter + numpy import and a cold predictor memo, then
+    computes in true parallel.
 ``distributed``
     Points run on worker processes pulled from a shared spool
     directory (CLI ``--spool DIR``; start workers with ``python -m
     repro.worker DIR``), which may sit on other hosts behind a shared
     filesystem — see :mod:`repro.sim.distributed` for the claim/lease
-    protocol.  It beats ``process`` when the fleet has more cores than
-    the coordinator and points are expensive enough to amortise the
-    per-job dispatch tax (~:data:`repro.sim.backends.
-    NETWORK_DISPATCH_TAX_S` per job); ``auto`` applies exactly that
-    rule when a spool is configured.  Resume interacts with the spool
-    only through this cache: workers never touch ``SweepCache`` —
-    results travel back through the spool and the **coordinator**
-    persists them — so an interrupted distributed sweep resumes from
-    the same cache files as any other backend, and stale spool
-    artifacts are mere garbage (reaped by :meth:`SweepCache.gc`
-    ``spool=``), never stale results.
+    protocol.  ``chunk_size=k`` (CLI ``--chunk-size``) ships ``k``
+    points per job file, amortising the per-job dispatch tax.  Resume
+    interacts with the spool only through this cache: workers never
+    touch ``SweepCache`` — results travel back through the spool and
+    the **coordinator** persists them — so an interrupted distributed
+    sweep resumes from the same cache files as any other backend, and
+    stale spool artifacts are mere garbage (reaped by
+    :meth:`SweepCache.gc` ``spool=``), never stale results.
 
-The default (``backend=None`` / CLI ``auto``) applies exactly that
-guidance, **cost-aware**: serial for one worker or one pending point;
-processes whenever the expected per-point cost exceeds the ~1–2 s
-per-worker spawn tax (:data:`repro.sim.backends.
-EXPENSIVE_POINT_CUTOFF_S`) — a small grid of expensive points must
-not run on GIL-serialised threads — with an automatic ``chunk_size``
-derived from the same estimate; otherwise threads for small pending
-sets and processes for large ones
-(:func:`repro.sim.backends.auto_backend`).  The per-point cost is
-estimated from the spec via :func:`estimated_point_cost_s`
-(``n_intervals × interval_s × n_nodes`` simulated node-seconds times
-a coarse wall-clock calibration) or, on a resumed sweep, from the
-*measured* wall-clock of the already-cached points — real timings
-beat any model.
+The default (``backend=None`` / CLI ``auto``) applies
+:func:`repro.sim.backends.auto_backend`: the spool for expensive
+points when one is configured; otherwise serial for one worker or one
+pending point, and processes only when the parallel saving outweighs
+the spawn tax.  The per-point cost is estimated from the spec via
+:func:`estimated_point_cost_s` (``n_intervals × interval_s ×
+n_nodes`` simulated node-seconds times a wall-clock calibration) or,
+on a resumed sweep, from the *measured* wall-clock of the
+already-cached points — real timings beat any model.
 
 Failure hardening
 -----------------
@@ -296,18 +279,17 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# per-point cost estimation (feeds the cost-aware auto backend rule)
+# per-point cost estimation (feeds the auto backend rule)
 # ----------------------------------------------------------------------
-#: Coarse wall-clock calibration: seconds of compute per *simulated
+#: Wall-clock calibration: seconds of compute per *simulated
 #: node-second* of a sweep point (`n_intervals × interval_s × n_nodes`).
-#: Calibrated from recorded ``BENCH_sweep_parallel_speedup`` artifacts
-#: via :func:`calibrate_wall_s_per_node_second` — a 16-node, 6×30 s
-#: quick-fig6 point (2880 node-seconds) measures ~0.1–0.2 s serial on
-#: the CI hosts, i.e. ~4e-5 s per node-second.  It only has to rank a
-#: point against the ~1–2 s spawn tax, so a factor of a few either way
-#: does not change the routing decision; measured cache timings
-#: override it on resumed sweeps.
-SIM_WALL_S_PER_NODE_SECOND = 4e-5
+#: Derived with :func:`calibrate_wall_s_per_node_second` from
+#: ``benchmarks/results/BENCH_sweep_backends.json`` — serial runs of the
+#: small, quick-Fig. 6 and paper-Fig. 6 grids measured 6.1e-5 s per
+#: node-second on a 2-core host.  It weighs a grid's parallel saving
+#: against the ~1.5 s spawn tax; measured cache timings override it on
+#: resumed sweeps.
+SIM_WALL_S_PER_NODE_SECOND = 6e-5
 
 
 def estimated_point_cost_s(config: RunnerConfig) -> float:
@@ -316,10 +298,10 @@ def estimated_point_cost_s(config: RunnerConfig) -> float:
     The simulation work scales with how much cluster-time one point
     simulates: every interval advances the churn engine and serves
     requests across ``n_nodes`` nodes for ``interval_s`` seconds.  The
-    product times :data:`SIM_WALL_S_PER_NODE_SECOND` is deliberately
-    coarse — it exists to answer one question for
-    :func:`repro.sim.backends.auto_backend`: *is this point expensive
-    relative to a worker's spawn tax?*
+    product times :data:`SIM_WALL_S_PER_NODE_SECOND` is coarse — it
+    exists to answer one question for
+    :func:`repro.sim.backends.auto_backend`: *does running the pending
+    points in parallel save more than the spawn tax?*
     """
     node_seconds = config.n_intervals * config.interval_s * config.n_nodes
     return float(node_seconds * SIM_WALL_S_PER_NODE_SECOND)
@@ -782,19 +764,20 @@ class SweepCache:
 # ----------------------------------------------------------------------
 # worker side (must be module-level and picklable for spawn)
 # ----------------------------------------------------------------------
-#: Per-process memo of trained predictors, keyed by profiling signature.
-#: Shared by every thread of the process (thread-backend workers and
-#: the inline path alike) behind :data:`_PREDICTOR_MEMO_LOCK`;
+#: Per-process memo of trained predictors, keyed by profiling signature;
 #: evaluating many policies that share a seed trains once per process
-#: instead of once per point.  Bounded (FIFO) because on the serial
-#: and thread paths it lives in the caller's process for the
-#: interpreter's lifetime.
+#: instead of once per point.  ``repro serve`` runs background sweeps
+#: on threads that share this memo, so it sits behind
+#: :data:`_PREDICTOR_MEMO_LOCK`.  Bounded (FIFO) because on the serial
+#: path it lives in the caller's process for the interpreter's
+#: lifetime.
 _PREDICTOR_MEMO: Dict[tuple, object] = {}
 _PREDICTOR_MEMO_LIMIT = 8
 _PREDICTOR_MEMO_LOCK = threading.Lock()
-#: One lock per profiling signature so concurrent thread workers
-#: needing the same predictor train it once and share it, while
-#: points with *different* signatures keep running unserialised.
+#: One lock per profiling signature so concurrent sweeps (threads of
+#: ``repro serve``) needing the same predictor train it once and share
+#: it, while points with *different* signatures keep running
+#: unserialised.
 _PREDICTOR_TRAIN_LOCKS: Dict[tuple, threading.Lock] = {}
 
 
@@ -838,7 +821,7 @@ def _trained_for(config: RunnerConfig, policy: Policy):
     baselines, the oracle ablation) skip training entirely — exactly
     as :meth:`ExperimentRunner.setup` would.  For the rest, the
     per-signature lock makes training happen once per process even
-    when thread workers hit a cold memo simultaneously; training is
+    when concurrent sweeps hit a cold memo simultaneously; training is
     deterministic given the signature (it draws only from
     ``RngRegistry(seed)``'s ``"profiling"`` stream), so who trains
     cannot change any number.
@@ -880,22 +863,17 @@ def parallel_map(
     fn: Callable,
     items: Sequence,
     workers: int = 1,
-    mp_context: str = "spawn",
     backend: Union[str, ExecutionBackend, None] = None,
-    chunk_size: Optional[int] = None,
     est_cost_s: Optional[float] = None,
 ) -> list:
     """Order-preserving map over an execution backend.
 
     ``backend`` is an :class:`~repro.sim.backends.ExecutionBackend`, a
-    name (``serial``/``thread``/``process``), or ``None``/``"auto"``
-    for the default rule: inline for ``workers=1`` or ≤ 1 items,
-    spawn processes when ``est_cost_s`` (the caller's expected
-    per-item compute) marks the items expensive, in-process threads
-    for small cheap batches, spawn processes otherwise.  For the
-    process backend ``fn`` must be a module-level function and every
-    item picklable (spawn re-imports the module in each worker);
-    ``chunk_size`` ships batches of items per process task.
+    name (``serial``/``process``), or ``None``/``"auto"`` for
+    :func:`~repro.sim.backends.auto_backend` fed with ``est_cost_s``
+    (the caller's expected per-item compute).  For the process backend
+    ``fn`` must be a module-level function and every item picklable
+    (spawn re-imports the module in each worker).
 
     Failure contract (uniform across backends, including serial): a
     raising ``fn`` surfaces as :class:`~repro.errors.WorkerTaskError`
@@ -904,18 +882,9 @@ def parallel_map(
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(
-            f"chunk size must be >= 1, got {chunk_size}"
-        )
     items = list(items)
     resolved = resolve_backend(
-        backend,
-        workers,
-        len(items),
-        mp_context=mp_context,
-        chunk_size=chunk_size,
-        est_cost_s=est_cost_s,
+        backend, workers, len(items), est_cost_s=est_cost_s
     )
     return resolved.map(fn, items)
 
@@ -1049,7 +1018,7 @@ class ParallelSweepRunner:
     spec:
         The grid to run.
     workers:
-        Worker count for the thread/process backends.  ``1`` (default)
+        Worker count for the process backend.  ``1`` (default)
         runs everything inline in this process — the exact serial path.
         Results are identical for every worker count (see the module
         docstring's determinism contract).
@@ -1063,15 +1032,14 @@ class ParallelSweepRunner:
     backend:
         How pending points execute: an
         :class:`~repro.sim.backends.ExecutionBackend`, a name
-        (``serial``/``thread``/``process``), or ``None``/``"auto"``
+        (``serial``/``process``/``distributed``), or ``None``/``"auto"``
         (default) for the rule in the module docstring's *Choosing an
-        execution backend* section — serial for one worker or one
-        pending point, threads for small pending sets, spawn processes
-        otherwise.  Bit-identical results for every choice.
+        execution backend* section.  Bit-identical results for every
+        choice.
     chunk_size:
-        Points shipped per process task (process backend only), so a
-        spawn worker amortises its interpreter + numpy import over a
-        whole chunk.  Default: one point per task.
+        Points shipped per spool job (distributed backend only), so
+        each job's dispatch tax is paid once per chunk.  Default: one
+        point per job.
     spool:
         Shared spool directory for the distributed backend (required
         with ``backend="distributed"``; offered to ``auto``, which
@@ -1087,7 +1055,6 @@ class ParallelSweepRunner:
         workers: int = 1,
         cache: Union[SweepCache, str, Path, None] = None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
-        mp_context: str = "spawn",
         backend: Union[str, ExecutionBackend, None] = None,
         chunk_size: Optional[int] = None,
         spool: Union[str, Path, None] = None,
@@ -1123,7 +1090,6 @@ class ParallelSweepRunner:
             cache = SweepCache(cache)
         self.cache = cache
         self.progress = progress
-        self.mp_context = mp_context
         self.backend = backend
         self.chunk_size = chunk_size
         self.spool = spool
@@ -1181,7 +1147,6 @@ class ParallelSweepRunner:
             self.backend,
             self.workers,
             n_pending,
-            mp_context=self.mp_context,
             chunk_size=self.chunk_size,
             est_cost_s=self._estimate_point_cost(cached),
             spool=self.spool,
@@ -1212,14 +1177,11 @@ class ParallelSweepRunner:
             else:
                 pending.append((point, config, key))
 
-        # The backend seam: auto picks serial for one worker or one
-        # pending point (a spawn worker would pay an interpreter +
-        # numpy import and a cold predictor memo for nothing),
-        # processes when the estimated per-point cost outweighs the
-        # spawn tax (measured cache-hit timings when resuming, the
-        # spec-based estimate otherwise), threads for small cheap
-        # pending sets, processes for large ones; an explicit backend
-        # is honoured as given.
+        # The backend seam: auto picks processes only when the
+        # parallel saving on the pending points outweighs the spawn
+        # tax (measured cache-hit timings when resuming, the spec-based
+        # estimate otherwise), serial otherwise; an explicit backend is
+        # honoured as given.
         if pending:
             backend = self._resolve_backend(len(pending), results.values())
             tasks = [(config, point.policy) for point, config, key in pending]

@@ -10,7 +10,12 @@ import urllib.request
 
 import pytest
 
-from repro.controlplane.http import MAX_BODY_BYTES, _route, start_http_server
+from repro.controlplane.http import (
+    MAX_BODY_BYTES,
+    MAX_HEADERS,
+    _route,
+    start_http_server,
+)
 from repro.controlplane.service import (
     LiveControlPlane,
     ServeConfig,
@@ -120,6 +125,16 @@ class TestRouting:
         assert status == 400
         assert b"bogus" in body
 
+    def test_sweep_unknown_backend_400_names_known_ones(self):
+        status, body = self._req(
+            "POST", "/sweeps", json.dumps({"backend": "thread"}).encode()
+        )
+        assert status == 400
+        message = json.loads(body)["error"]
+        for name in ("thread", "serial", "process", "distributed"):
+            assert name in message
+        assert self.plane.sweeps.summary() == []
+
     def test_sweep_unknown_id_404(self):
         assert self._req("POST", "/sweeps/sweep-99/stop")[0] == 404
 
@@ -187,6 +202,33 @@ class TestRawRequests:
     def test_malformed_request_line_400(self):
         status, _ = _parse(_raw_exchange(_StubPlane(), b"GARBAGE\r\n\r\n"))
         assert status == 400
+
+    @staticmethod
+    def _get_with_headers(headers: bytes):
+        request = b"GET /status HTTP/1.1\r\n" + headers + b"\r\n"
+        return _parse(_raw_exchange(_StubPlane(), request))
+
+    def test_overlong_header_line_431(self):
+        # Past asyncio's 64 KiB StreamReader limit, readline raises
+        # ValueError; the client still gets a named answer.
+        status, body = self._get_with_headers(
+            b"X-Long: " + b"a" * (70 * 1024) + b"\r\n"
+        )
+        assert status == 431
+        assert b"too long" in body
+
+    def test_too_many_headers_431(self):
+        status, body = self._get_with_headers(
+            b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1))
+        )
+        assert status == 431
+        assert str(MAX_HEADERS).encode() in body
+
+    def test_header_count_at_limit_is_served(self):
+        status, _ = self._get_with_headers(
+            b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS))
+        )
+        assert status == 200
 
 
 class TestSweepManager:

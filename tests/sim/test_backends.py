@@ -1,25 +1,18 @@
 """Tests for the execution-backend seam (:mod:`repro.sim.backends`)."""
 
 import pickle
-import threading
-import time
 
 import pytest
 
 from repro.errors import ConfigurationError, WorkerTaskError
 from repro.sim.backends import (
     BACKEND_NAMES,
-    EXPENSIVE_POINT_CUTOFF_S,
     PROCESS_SPAWN_TAX_S,
-    THREAD_AUTO_THRESHOLD,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     auto_backend,
-    auto_chunk_size,
     backend_from_name,
-    chunked,
     resolve_backend,
 )
 
@@ -58,78 +51,25 @@ class TestSerialBackend:
         assert collected == [(0, 1)]
 
 
-class TestThreadBackend:
-    def test_map_matches_serial(self):
-        items = list(range(12))
-        assert ThreadBackend(4).map(_square, items) == [x * x for x in items]
-
-    def test_actually_runs_on_worker_threads(self):
-        names = set()
-
-        def record(x):
-            names.add(threading.current_thread().name)
-            return x
-
-        ThreadBackend(2).map(record, range(8))
-        assert all(n.startswith("sweep-worker") for n in names)
-
-    def test_failure_carries_index_and_keeps_finished_peers(self):
-        # The worker thread may race ahead of the consumer, so peers
-        # that finished before the failure was *observed* are yielded
-        # (the sweep caches them); the failing index itself never is,
-        # and the error names it.
-        collected = []
-        with pytest.raises(WorkerTaskError) as err:
-            for pair in ThreadBackend(1).imap_unordered(
-                _fail_on_two, [1, 2, 3, 4, 5]
-            ):
-                collected.append(pair)
-        assert err.value.index == 1
-        assert (0, 1) in collected
-        assert all(index != 1 for index, _ in collected)
-        assert all(result == [1, None, 9, 16, 25][i] for i, result in collected)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ConfigurationError):
-            ThreadBackend(0)
-
-
 class TestProcessBackend:
-    """One spawn round-trip (slow-ish); chunked and unchunked share it."""
+    """One spawn round-trip (slow-ish)."""
 
-    def test_map_matches_serial_including_chunked(self):
+    def test_map_matches_serial(self):
         items = list(range(7))
-        expected = [x * x for x in items]
-        assert ProcessBackend(2).map(_square, items) == expected
-        assert (
-            ProcessBackend(2, chunk_size=3).map(_square, items) == expected
-        )
+        assert ProcessBackend(2).map(_square, items) == [x * x for x in items]
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             ProcessBackend(0)
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(2, chunk_size=0)
 
 
 @pytest.mark.tier2
 class TestProcessBackendFailure:
-    def test_chunked_failure_survives_pickling_with_index(self):
+    def test_failure_survives_pickling_with_index(self):
         with pytest.raises(WorkerTaskError) as err:
-            ProcessBackend(2, chunk_size=2).map(_fail_on_two, [1, 3, 2, 4])
+            ProcessBackend(2).map(_fail_on_two, [1, 3, 2, 4])
         assert err.value.index == 2
         assert "deliberate failure" in str(err.value)
-
-
-class TestChunked:
-    def test_splits_and_preserves_order(self):
-        assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert chunked([1, 2], 10) == [[1, 2]]
-        assert chunked([], 3) == []
-
-    def test_invalid_size(self):
-        with pytest.raises(ConfigurationError):
-            chunked([1], 0)
 
 
 class TestFactories:
@@ -142,66 +82,54 @@ class TestFactories:
         assert isinstance(backend, ExecutionBackend)
         assert backend.name == name
 
-    def test_chunk_size_shapes_process_only(self):
-        process = backend_from_name("process", workers=2, chunk_size=4)
-        assert process.chunk_size == 4
-        # Accepted and ignored elsewhere: one CLI flag set, any backend.
-        assert backend_from_name("thread", workers=2, chunk_size=4).name == "thread"
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="serial, thread, process"):
+        with pytest.raises(ConfigurationError, match="serial, process"):
             backend_from_name("ssh", workers=2)
+
+    def test_thread_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="'thread'"):
+            backend_from_name("thread", workers=2)
 
     def test_auto_rule(self):
         assert auto_backend(1, 100).name == "serial"
         assert auto_backend(4, 1).name == "serial"
-        assert auto_backend(4, THREAD_AUTO_THRESHOLD).name == "thread"
-        assert auto_backend(4, THREAD_AUTO_THRESHOLD + 1).name == "process"
+        # No estimate: parallelism is assumed to pay.
+        assert auto_backend(2, 2).name == "process"
 
     def test_auto_rejects_bad_workers(self):
         with pytest.raises(ConfigurationError):
             auto_backend(0, 5)
 
     def test_resolve_passthrough_and_names(self):
-        ready = ThreadBackend(3)
+        ready = ProcessBackend(3)
         assert resolve_backend(ready, workers=1, n_tasks=99) is ready
-        assert resolve_backend(None, 4, 2).name == "thread"
-        assert resolve_backend("auto", 4, 50).name == "process"
+        assert resolve_backend(None, 4, 2).name == "process"
+        assert resolve_backend("auto", 4, 50, est_cost_s=0.0).name == "serial"
         assert resolve_backend("serial", 4, 50).name == "serial"
 
 
 class TestCostAwareAuto:
-    """The ROADMAP-documented routing bug, fixed: a small grid of
-    *expensive* points must spawn processes, not GIL-serialised
-    threads, when the caller supplies a cost estimate."""
+    """Process exactly when the parallel saving,
+    ``est × n × (1 − 1/min(workers, n))``, outweighs the spawn tax."""
 
     def test_expensive_small_set_routes_to_process(self):
-        backend = auto_backend(
-            4, 4, est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 5
-        )
+        backend = auto_backend(4, 4, est_cost_s=PROCESS_SPAWN_TAX_S * 5)
         assert isinstance(backend, ProcessBackend)
-        # Expensive points keep one-point tasks (finest-grained
-        # caching/failure behaviour).
-        assert backend.chunk_size == 1
 
-    def test_cheap_small_set_still_routes_to_threads(self):
-        assert auto_backend(4, 4, est_cost_s=0.1).name == "thread"
+    def test_saving_threshold(self):
+        # 2 workers, 12 points: the saving is est * 12 * (1 - 1/2).
+        at_tax = PROCESS_SPAWN_TAX_S / 6.0
+        assert auto_backend(2, 12, est_cost_s=at_tax).name == "serial"
+        assert auto_backend(2, 12, est_cost_s=at_tax * 1.01).name == "process"
 
-    def test_cheap_large_set_gets_auto_chunking(self):
-        backend = auto_backend(4, 40, est_cost_s=0.1)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.chunk_size == auto_chunk_size(40, 4, 0.1)
-        assert backend.chunk_size > 1
+    def test_parallelism_capped_by_pending_count(self):
+        # 2 points on 8 workers run on 2: the saving is est * 2 * 1/2.
+        est = PROCESS_SPAWN_TAX_S * 0.9
+        assert auto_backend(8, 2, est_cost_s=est).name == "serial"
+        assert auto_backend(8, 2, est_cost_s=est * 1.2).name == "process"
 
-    def test_explicit_chunk_size_wins_over_auto(self):
-        backend = auto_backend(
-            4, 40, chunk_size=7, est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 2
-        )
-        assert backend.chunk_size == 7
-
-    def test_no_estimate_keeps_count_rule(self):
-        assert auto_backend(4, THREAD_AUTO_THRESHOLD).name == "thread"
-        assert auto_backend(4, THREAD_AUTO_THRESHOLD + 1).name == "process"
+    def test_cheap_points_stay_serial_whatever_the_count(self):
+        assert auto_backend(4, 40, est_cost_s=0.01).name == "serial"
 
     def test_serial_short_circuits_regardless_of_cost(self):
         assert auto_backend(1, 4, est_cost_s=1e6).name == "serial"
@@ -213,25 +141,13 @@ class TestCostAwareAuto:
 
     def test_resolve_forwards_estimate(self):
         resolved = resolve_backend(
-            "auto", 4, 4, est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 5
+            "auto", 4, 4, est_cost_s=PROCESS_SPAWN_TAX_S * 5
         )
         assert resolved.name == "process"
         # Named backends ignore the estimate — explicit wins.
         assert resolve_backend(
-            "thread", 4, 4, est_cost_s=EXPENSIVE_POINT_CUTOFF_S * 5
-        ).name == "thread"
-
-    def test_auto_chunk_size_bounds(self):
-        # Enough cheap points per chunk to amortise the spawn tax...
-        assert auto_chunk_size(100, 4, 0.1) == int(
-            -(-PROCESS_SPAWN_TAX_S // 0.1)
-        )
-        # ...but never beyond an even split across the workers...
-        assert auto_chunk_size(8, 4, 1e-6) == 2
-        # ...and expensive points stay one per task.
-        assert auto_chunk_size(100, 4, 10.0) == 1
-        with pytest.raises(ConfigurationError):
-            auto_chunk_size(0, 4, 1.0)
+            "serial", 4, 4, est_cost_s=PROCESS_SPAWN_TAX_S * 5
+        ).name == "serial"
 
 
 class TestWorkerTaskError:

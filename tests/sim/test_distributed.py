@@ -251,6 +251,23 @@ class TestSpoolProtocol:
         assert job["tasks"] == [entry]
         assert "claim" not in job
 
+    def test_unstamped_claim_ages_from_the_rename(self, tmp_path):
+        # A worker between its claim rename and its claim-block write
+        # holds a fresh claim, not an abandoned one.
+        spool = SweepSpool(tmp_path).ensure()
+        entry = encode_task(0, (_tiny_base(), BasicPolicy()))
+        spool.submit_job("run-000000", "run", [entry])
+        os.rename(
+            spool.jobs_dir / "run-000000.json",
+            spool.claims_dir / "run-000000.json",
+        )
+        assert spool.reclaim_stale("run", lease_s=30.0) == 0
+        assert spool.gc(lease_s=30.0) == []
+        # Past the lease it is abandoned like any silent claim.
+        time.sleep(0.05)
+        assert spool.reclaim_stale("run", lease_s=0.01) == 1
+        assert spool.pending_jobs() == ["run-000000"]
+
     def test_reclaim_spares_finished_then_died_worker(self, tmp_path):
         spool = SweepSpool(tmp_path).ensure()
         entry = encode_task(0, (_tiny_base(), BasicPolicy()))
@@ -403,6 +420,32 @@ class TestDistributedBackend:
         with pytest.raises(SpoolError, match="python -m repro.worker"):
             ParallelSweepRunner(spec, backend=backend).run()
 
+    def test_jobs_ship_consecutive_chunks_of_chunk_size(
+        self, tmp_path, monkeypatch
+    ):
+        submitted = []
+        real_submit = SweepSpool.submit_job
+
+        def record(self, job_id, run_id, tasks):
+            submitted.append([task["index"] for task in tasks])
+            return real_submit(self, job_id, run_id, tasks)
+
+        monkeypatch.setattr(SweepSpool, "submit_job", record)
+        spec = _tiny_spec()
+        backend = DistributedBackend(
+            tmp_path / "spool",
+            chunk_size=3,
+            poll_interval_s=0.02,
+            wait_timeout_s=0.2,
+        )
+        with pytest.raises(SpoolError):  # no worker ever claims them
+            ParallelSweepRunner(spec, backend=backend).run()
+        n = spec.n_points
+        assert submitted == [
+            list(range(start, min(start + 3, n))) for start in range(0, n, 3)
+        ]
+        assert len(submitted[-1]) < 3  # the ragged tail ships too
+
     def test_end_to_end_bit_identical_and_clean_spool(self, tmp_path):
         serial = _serial_run()
         spec = _tiny_spec()
@@ -475,10 +518,14 @@ class TestDistributedBackend:
         n_jobs = len(spec.points())  # chunk_size=1: one job per point
 
         def steal_everything():
-            stolen = 0
+            # Distinct ids: a job the coordinator already reclaimed and
+            # re-queued must not be stolen (and counted) twice.
+            stolen = set()
             deadline = time.monotonic() + 60
-            while stolen < n_jobs and time.monotonic() < deadline:
+            while len(stolen) < n_jobs and time.monotonic() < deadline:
                 for job_id in spool.pending_jobs():
+                    if job_id in stolen:
+                        continue
                     payload = spool.claim(job_id)
                     if payload is None:
                         continue
@@ -487,9 +534,9 @@ class TestDistributedBackend:
                     spool._atomic_write(
                         spool.claims_dir / f"{job_id}.json", payload
                     )
-                    stolen += 1
+                    stolen.add(job_id)
                 time.sleep(0.005)
-            return stolen
+            return len(stolen)
 
         box = {}
         coordinator = threading.Thread(
@@ -539,10 +586,13 @@ class TestRoutingAndWiring:
         )
         assert backend.name == "distributed"
         assert backend.wait_workers == 2
-        # The auto chunk amortises the *network* tax, not spawn: at
-        # est >= cutoff a single point already dwarfs the dispatch
-        # write, so points ship unbatched.
+        # At est >= cutoff a single point already dwarfs the dispatch
+        # write, so points ship unbatched unless a chunk size is given.
         assert backend.chunk_size == 1
+        assert auto_backend(
+            n_tasks=16, workers=4, chunk_size=3, est_cost_s=expensive,
+            spool=tmp_path,
+        ).chunk_size == 3
 
     def test_auto_keeps_cheap_grids_local(self, tmp_path):
         cheap = DISTRIBUTED_POINT_CUTOFF_S / 100
@@ -571,19 +621,6 @@ class TestRoutingAndWiring:
             ).name
             != "distributed"
         )
-
-    def test_aggregate_rejects_distributed_backend(self, tmp_path):
-        from repro.sim.aggregate import SweepSummary
-
-        spec = _tiny_spec(
-            policies=(BasicPolicy(),), arrival_rates=(30.0,), seeds=(0,)
-        )
-        cache = SweepCache(tmp_path / "cache")
-        ParallelSweepRunner(spec, cache=cache, backend="serial").run()
-        with pytest.raises(ConfigurationError, match="cache"):
-            SweepSummary.from_cache(
-                cache, backend=DistributedBackend(tmp_path / "spool")
-            )
 
 
 class TestWorkerCLI:

@@ -22,7 +22,7 @@ from repro.errors import (
     SweepLookupError,
 )
 from repro.service.nutch import NutchConfig
-from repro.sim.backends import SerialBackend, ThreadBackend
+from repro.sim.backends import SerialBackend
 from repro.sim.runner import ExperimentRunner, PolicyResult, RunnerConfig
 from repro.sim.sweep import (
     ParallelSweepRunner,
@@ -326,7 +326,9 @@ class TestParallelExecution:
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
         spec = _tiny_spec(arrival_rates=(40.0,), seeds=(0, 1))
         serial = ParallelSweepRunner(spec, workers=1).run()
-        parallel = ParallelSweepRunner(spec, workers=2, cache=tmp_path).run()
+        parallel = ParallelSweepRunner(
+            spec, workers=2, cache=tmp_path, backend="process"
+        ).run()
         for point in spec.points():
             assert (
                 parallel.results[point].metrics_dict()
@@ -347,33 +349,21 @@ class TestParallelExecution:
         with pytest.raises(ConfigurationError, match="ssh"):
             ParallelSweepRunner(_tiny_spec(), workers=2, backend="ssh")
 
-    def test_thread_backend_matches_serial_bit_for_bit(self):
-        spec = _tiny_spec(arrival_rates=(40.0,), seeds=(0,))
-        serial = ParallelSweepRunner(spec, workers=1).run()
-        threaded = ParallelSweepRunner(
-            spec, workers=2, backend="thread"
-        ).run()
-        for point in spec.points():
-            assert (
-                threaded.results[point].metrics_dict()
-                == serial.results[point].metrics_dict()
-            ), point.describe()
-
     def test_backend_instance_accepted(self):
         spec = _tiny_spec(
             policies=(BasicPolicy(),), arrival_rates=(40.0,), seeds=(0,)
         )
         direct = ParallelSweepRunner(spec, backend=SerialBackend()).run()
-        threaded = ParallelSweepRunner(spec, backend=ThreadBackend(2)).run()
+        named = ParallelSweepRunner(spec, backend="serial").run()
         point = spec.points()[0]
         assert (
             direct.results[point].metrics_dict()
-            == threaded.results[point].metrics_dict()
+            == named.results[point].metrics_dict()
         )
 
 
 class TestWorkerValidationCLI:
-    """CLI arg-parser side of the workers/chunk-size validation."""
+    """CLI arg-parser side of the workers/backend/chunk-size validation."""
 
     @pytest.mark.parametrize("command", ["sweep", "fig5", "fig6", "fig7"])
     def test_workers_zero_is_a_usage_error(self, command, capsys):
@@ -395,10 +385,32 @@ class TestWorkerValidationCLI:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["sweep", "--workers", "3", "--backend", "thread",
-             "--chunk-size", "2"]
+            ["sweep", "--workers", "3", "--backend", "distributed",
+             "--chunk-size", "2", "--spool", "s"]
         )
-        assert (args.workers, args.backend, args.chunk_size) == (3, "thread", 2)
+        assert (args.workers, args.backend, args.chunk_size) == (
+            3, "distributed", 2
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--backend", "thread"],
+            ["fig6", "--backend", "thread"],
+            ["fig6", "--chunk-size", "2"],
+            ["fig5", "--chunk-size", "2"],
+            ["fig7", "--chunk-size", "2"],
+            ["aggregate", "--cache-dir", "c", "--workers", "2"],
+            ["aggregate", "--cache-dir", "c", "--backend", "serial"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv),
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
 
     def test_fig5_fig7_default_backend_is_driver_resolved(self):
         # fig5/fig7 points are expensive or timing-sensitive: their
@@ -425,7 +437,7 @@ class TestFailureHardening:
             **overrides,
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_failure_raises_named_error_with_coordinates(
         self, backend, tmp_path
     ):
@@ -497,17 +509,15 @@ class TestParallelMap:
             parallel_map(_square, [1], workers=0)
 
     def test_multi_worker_path_preserves_order(self):
-        # Three items auto-route to the thread backend (small batch).
-        assert parallel_map(_square, [3, 1, 2], workers=2) == [9, 1, 4]
+        # Free items stay inline under auto, whatever the worker count.
+        assert parallel_map(
+            _square, [3, 1, 2], workers=2, est_cost_s=0.0
+        ) == [9, 1, 4]
 
     def test_explicit_process_backend_preserves_order(self):
         assert parallel_map(
-            _square, [3, 1, 2], workers=2, backend="process", chunk_size=2
+            _square, [3, 1, 2], workers=2, backend="process"
         ) == [9, 1, 4]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(_square, [1, 2], workers=2, chunk_size=0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -572,16 +582,16 @@ class TestCostAwareBackendSelection:
         assert isinstance(backend, ProcessBackend)
         assert estimated_point_cost_s(spec.base) >= 2.0
 
-    def test_small_cheap_grid_still_auto_selects_threads(self):
+    def test_small_cheap_grid_auto_selects_serial(self):
         spec = _tiny_spec(seeds=(0,))  # 4 cheap points
         runner = ParallelSweepRunner(spec, workers=4)
-        assert runner._resolve_backend(spec.n_points, []).name == "thread"
+        assert runner._resolve_backend(spec.n_points, []).name == "serial"
 
     def test_explicit_backend_still_wins(self):
         runner = ParallelSweepRunner(
-            self._expensive_spec(), workers=4, backend="thread"
+            self._expensive_spec(), workers=4, backend="serial"
         )
-        assert runner._resolve_backend(4, []).name == "thread"
+        assert runner._resolve_backend(4, []).name == "serial"
 
     def test_measured_cache_timings_override_spec_estimate(self):
         """On a resumed sweep the cache hits carry measured wall-clock;
